@@ -1315,7 +1315,7 @@ let autoopt () =
           if res.Opt.Search.r_chain = [] then base_s
           else begin
             let g = k.k_build () in
-            Transform.Xform.apply_chain_exn g res.r_chain;
+            Transform.Std.apply_chain_exn g res.r_chain;
             wall g
           end
         in

@@ -84,11 +84,10 @@ let list_cmd =
     Fmt.pr "programs:@.";
     List.iter (fun (n, _) -> Fmt.pr "  %s@." n) builders;
     Fmt.pr "@.transformations (Appendix B):@.";
-    Transform.Std.register_all ();
     List.iter
       (fun (x : Transform.Xform.t) ->
         Fmt.pr "  %-20s %s@." x.x_name x.x_description)
-      (Transform.Xform.all ())
+      Transform.Std.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List programs and transformations")
     Term.(const run $ const ())
@@ -162,11 +161,10 @@ let transform_cmd =
     Arg.(value & pos_right 0 string [] & info [] ~docv:"TRANSFORMATION")
   in
   let run name xforms =
-    Transform.Std.register_all ();
     let g = build name in
     List.iter
       (fun xn ->
-        match Transform.Xform.apply_by_name g xn with
+        match Transform.Std.apply_by_name g xn with
         | Ok () -> Fmt.pr "applied %s@." xn
         | Error msg -> Fmt.pr "not applicable: %s@." msg)
       xforms;
@@ -506,7 +504,6 @@ let optimize_cmd =
       Fmt.epr "'optimize' supports the Polybench programs; try 'sdfg list'@.";
       exit 1
     | Some k ->
-      Transform.Std.register_all ();
       let t =
         match target with
         | `Cpu -> Cost.Tcpu
@@ -543,7 +540,7 @@ let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize"
        ~doc:"Automatically optimize a Polybench program: cost-guided beam \
-             search over the transformation registry, optionally \
+             search over the transformation library, optionally \
              confirming each step with measured interpreter medians")
     Term.(const run $ prog_arg $ target_arg $ beam_arg $ steps_arg
           $ budget_arg $ measure_arg $ repeat_arg $ warmup_arg $ chain_arg
@@ -586,7 +583,6 @@ let fuzz_cmd =
                    check it against the selected oracles.")
   in
   let run seeds seed oracle shrink out replay =
-    Transform.Std.register_all ();
     let oracles =
       match oracle with
       | "all" -> Fuzz.Oracle.kinds

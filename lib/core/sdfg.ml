@@ -197,22 +197,6 @@ let free_symbols (g : t) =
 
 let clone (g : t) : t = State.clone_sdfg g
 
-(* --- content hashing ------------------------------------------------------- *)
-
-(* The hash is computed over the canonical serialized form, which lives
-   in {!Serialize} — a module that depends on this one.  Serialize
-   registers the implementation here at load time (the same pattern
-   {!Interp.Plan} uses to register the compiled engine with
-   {!Interp.Exec}). *)
-let hash_impl : (t -> string) ref =
-  ref (fun _ ->
-      failwith
-        "Sdfg.hash: no hash implementation registered (Serialize module \
-         not linked)")
-
-let set_hash_impl f = hash_impl := f
-let hash (g : t) : string = !hash_impl g
-
 (* --- printing ------------------------------------------------------------- *)
 
 let pp ppf (g : t) =

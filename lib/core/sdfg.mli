@@ -104,17 +104,5 @@ val free_symbols : t -> string list
 
 val clone : t -> t
 
-val hash : t -> string
-(** Content hash (hex) over the canonical serialized form
-    ({!Serialize.to_string}): two graphs hash equal iff they serialize
-    identically, so the hash is stable under print∘parse round-trips and
-    under {!clone}.  The plan-cache key of the serving layer, and a
-    generally useful identity for memoizing per-graph work.  Implemented
-    by {!Serialize} and registered here at load time; calling it from a
-    program that never touches [Serialize] raises [Failure]. *)
-
-val set_hash_impl : (t -> string) -> unit
-(** Used by {!Serialize} at load time; not for general use. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

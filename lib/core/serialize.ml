@@ -627,7 +627,3 @@ let load path : sdfg =
     (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
 let hash (g : sdfg) : string = Digest.to_hex (Digest.string (to_string g))
-
-(* Register the content hash with {!Sdfg} (which cannot depend on this
-   module); see [Sdfg.hash]. *)
-let () = Sdfg.set_hash_impl hash

@@ -29,6 +29,8 @@ val save : Defs.sdfg -> string -> unit
 val load : string -> Defs.sdfg
 
 val hash : Defs.sdfg -> string
-(** Hex digest of {!to_string} — the implementation behind
-    {!Sdfg.hash} (registered at load time), exposed directly for callers
-    that already hold the serialized text's module dependency. *)
+(** Content hash (hex) over the canonical serialized form
+    ({!to_string}): two graphs hash equal iff they serialize
+    identically, so the hash is stable under print∘parse round-trips and
+    under {!Sdfg.clone}.  The plan-cache key of the serving layer, and a
+    generally useful identity for memoizing per-graph work. *)

@@ -250,7 +250,7 @@ let xform_oracle g =
                     i d
                 | None -> ()))))
       done)
-    (Xform.all ());
+    Transform.Std.all;
   match !failures with
   | [] ->
     if !applied = 0 then Skip "no transformation applies to this graph"
@@ -274,7 +274,7 @@ let opt_oracle g =
     if r.Opt.Search.r_chain = [] then Pass "search committed no steps"
     else
       let g' = Sdfg.clone g in
-      match Xform.apply_chain g' r.r_chain with
+      match Transform.Std.apply_chain g' r.r_chain with
       | Error m ->
         Fail
           (Fmt.str "chain '%s' does not replay: %s"

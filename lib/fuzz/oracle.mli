@@ -10,8 +10,9 @@
       a syntactic fixpoint (printing the reloaded graph reproduces the
       original text byte-for-byte).
     - [Xform] — every applicable transformation candidate from the
-      {!Transform.Xform} registry preserves program output (metamorphic
-      soundness), and both engines still agree on the transformed graph.
+      standard library ({!Transform.Std.all}) preserves program output
+      (metamorphic soundness), and both engines still agree on the
+      transformed graph.
     - [Opt] — the chain found by a short model-only {!Opt.Search} beam
       search replays cleanly and preserves program output.
     - [Parallel_crossval] — the compiled engine at 2 and 4 domains

@@ -1,995 +1,29 @@
-(* Reference interpreter for SDFGs — an executable rendition of the
-   operational semantics of Appendix A.
+(* The execution driver: the one entry point above both engines.
 
-   Execution follows the state machine: run the dataflow of the current
-   state to quiescence, evaluate outgoing transitions, apply assignments,
-   continue until no condition holds (A.2.3).  Within a state, nodes are
-   processed in topological order; Map scopes expand their symbolic range
-   (Fig. 6b), Consume scopes dynamically process streams until the
-   quiescence condition, and write-conflict-resolution memlets combine
-   values with their resolution function.
+   The reference interpreter ({!Reference}) is the semantic oracle and
+   the bottom layer; the compiled engine ({!Plan}) lowers states onto
+   the same runtime environment.  This module sits above both.  It owns
+   the tuning surface ({!Config}), builds a run's environment with the
+   per-state executor its [engine] selects, runs the state machine —
+   batch, streaming, or through a reusable {!Instance} — and freezes
+   the result into an {!Obs.Report.t}.  No engine registers itself
+   anywhere: the choice is a plain match on the config. *)
 
-   The interpreter doubles as the instrumentation source for the machine
-   model: it counts data movement per memlet, tasklet executions and map
-   iterations. *)
-
-module Expr = Symbolic.Expr
-module Subset = Symbolic.Subset
 open Sdfg_ir
 open Defs
 open Tasklang.Types
+open Reference
 
-exception Runtime_error = Errors.Runtime_error
+exception Runtime_error = Reference.Runtime_error
 
-let runtime_error fmt = Fmt.kstr (fun s -> raise (Runtime_error s)) fmt
+type domain_policy = Reference.domain_policy =
+  | Fixed of int
+  | Predictive of int
 
-(* --- runtime containers ------------------------------------------------ *)
+let policy_name = Reference.policy_name
+let register_external = Reference.register_external
 
-type stream_rt = {
-  qs : value Queue.t array;  (* flattened array of queues *)
-  q_shape : int array;
-  q_dtype : dtype;
-}
-
-type container =
-  | Tens of Tensor.t
-  | Strm of stream_rt
-  | Chan of value Stream.t
-      (* streaming mode only: the stream is a live bounded channel with
-         blocking push/pop; workers see these in their container table
-         in place of [Strm] queues *)
-
-type stats = {
-  mutable elements_moved : int;
-  mutable tasklet_execs : int;
-  mutable map_iterations : int;
-  mutable stream_pushes : int;
-  mutable stream_pops : int;
-  mutable states_executed : int;
-  mutable wcr_writes : int;
-}
-
-let fresh_stats () =
-  { elements_moved = 0; tasklet_execs = 0; map_iterations = 0;
-    stream_pushes = 0; stream_pops = 0; states_executed = 0; wcr_writes = 0 }
-
-let pp_stats ppf s =
-  Fmt.pf ppf
-    "moved=%d tasklets=%d map_iters=%d pushes=%d pops=%d states=%d wcr=%d"
-    s.elements_moved s.tasklet_execs s.map_iterations s.stream_pushes
-    s.stream_pops s.states_executed s.wcr_writes
-
-(* How the compiled engine picks a worker count for each parallel map:
-   [Fixed d] dispatches every Parallel-verdict map on [min d trips]
-   workers (the PR 5 behavior behind [SDFG_DOMAINS] / [with_domains]);
-   [Predictive cap] prices each map with {!Machine.Cost.Parallel} and
-   runs it on the predicted-profitable count, up to [cap]. *)
-type domain_policy = Fixed of int | Predictive of int
-
-let policy_name = function Fixed _ -> "fixed" | Predictive _ -> "predictive"
-
-(* One Cpu_multicore map's standing policy record: registered at plan
-   time, updated per invocation.  Lives for the whole run so the report
-   can show what the policy decided and why. *)
-type map_decision = {
-  md_state : string;             (* state label *)
-  md_node : int;                 (* map-entry node id within the state *)
-  md_map : string;               (* map span name, "[i,j]" *)
-  md_kind : string;              (* bulk-kernel kind, or "closure" *)
-  md_verdict : string;           (* race verdict: "parallel", "parallel-accumulate",
-                                    or the Serial reason code *)
-  md_forced : bool;              (* counted under [par_forced_seq] *)
-  mutable md_domains : int;      (* worker count of the last invocation *)
-  mutable md_reason : string;    (* policy reason of the last invocation *)
-  mutable md_trips : int;        (* outer trip count of the last invocation *)
-  mutable md_invocations : int;
-}
-
-(* Multicore bookkeeping, shared down through nested SDFGs like [stats].
-   [par_chunks] depends on the domain count; the determinism tests compare
-   [stats], not these. *)
-type par_stats = {
-  mutable par_maps : int;        (* parallel map-scope invocations *)
-  mutable par_chunks : int;      (* chunks dispatched to the pool *)
-  mutable par_forced_seq : int;  (* Cpu_multicore maps forced sequential *)
-  mutable par_decisions : map_decision list;  (* registration order, reversed *)
-}
-
-let fresh_par () =
-  { par_maps = 0; par_chunks = 0; par_forced_seq = 0; par_decisions = [] }
-
-(* Register (or re-register, after a structural-version recompile) the
-   decision record for one map.  Keyed by (state, node id) — the span
-   name alone is ambiguous when one state holds two maps over the same
-   parameters — so a recompiled plan replaces its stale record instead
-   of duplicating it. *)
-let register_decision (par : par_stats) ~state ~node ~map ~kind ~verdict
-    ~forced =
-  let md =
-    { md_state = state; md_node = node; md_map = map; md_kind = kind;
-      md_verdict = verdict; md_forced = forced; md_domains = 1;
-      md_reason = "unevaluated"; md_trips = 0; md_invocations = 0 }
-  in
-  par.par_decisions <-
-    md
-    :: List.filter
-         (fun d -> not (d.md_state = state && d.md_node = node))
-         par.par_decisions;
-  md
-
-(* External tasklet implementations (paper Fig. 5: tasklets written in the
-   target language directly).  Keyed by tasklet name. *)
-let externals : (string, (string * Tasklang.Eval.binding) list -> unit)
-    Hashtbl.t =
-  Hashtbl.create 8
-
-let register_external name impl = Hashtbl.replace externals name impl
-
-(* Which execution engine drives each state's dataflow.  [`Reference]
-   interprets the graph directly (the semantic oracle); [`Compiled] runs
-   plans lowered once per state by {!Plan} (closure-compiled tasklets,
-   slot-indexed symbol frames). *)
 type engine = [ `Reference | `Compiled ]
-
-(* A state lowered by the compiled engine, tagged with the structural
-   version it was compiled at so mutations invalidate it. *)
-type cached_plan = { pl_version : int; pl_run : unit -> unit }
-
-type env = {
-  g : sdfg;
-  containers : (string, container) Hashtbl.t;
-  symbols : (string, int) Hashtbl.t;
-  stats : stats;
-  collector : Obs.Collect.t;  (* wall-clock spans + plan coverage *)
-  max_states : int;
-  engine : engine;
-  plans : (int, cached_plan) Hashtbl.t;  (* state id -> plan *)
-  domains : int;  (* domains the compiled engine may use (>= 1) *)
-  policy : domain_policy;  (* how each parallel map picks its worker count *)
-  par : par_stats;
-  kernels : bool;  (* let the compiled engine lower maps to bulk kernels *)
-}
-
-(* Span names are shared between engines so the timing trees match
-   shape-for-shape: states use their label, maps their parameter list,
-   consumes their stream, tasklets their name. *)
-let map_span_name (m : map_info) =
-  "[" ^ String.concat "," m.mp_params ^ "]"
-
-(* Time [f] as a (kind, name) span when the collector's level and the
-   construct's [flag] ask for it; otherwise run it untouched. *)
-let timed env kind name ~flag f =
-  let c = env.collector in
-  if Obs.Collect.should_time c ~flag then begin
-    let sp = Obs.Collect.enter c kind name in
-    match f () with
-    | r -> Obs.Collect.exit c sp; r
-    | exception e -> Obs.Collect.exit c sp; raise e
-  end
-  else f ()
-
-(* The compiled engine lives in {!Plan}, which depends on this module;
-   it registers its state executor here at load time. *)
-let compiled_state_exec : (env -> state -> unit) ref =
-  ref (fun _ _ ->
-      raise
-        (Runtime_error
-           "compiled engine requested but no engine registered (Plan \
-            module not linked)"))
-
-let set_compiled_state_exec f = compiled_state_exec := f
-
-(* Streaming stage compiler, registered by {!Plan} at load time like the
-   state executor.  Called once per pipeline worker with that worker's
-   private environment, the state, the consume entry's node id and its
-   info; [Some f] means [f pe v] executes the stage body for one popped
-   element [v] (kernel-lowered map bodies included), [None] falls the
-   worker back to the reference body loop. *)
-let stage_compiler :
-    (env -> state -> int -> consume_info -> (int -> value -> unit) option)
-      ref =
-  ref (fun _ _ _ _ -> None)
-
-let set_stage_compiler f = stage_compiler := f
-
-(* Symbol environment for symbolic evaluation: interstate symbols first,
-   then rank-0 containers read as integers (data-dependent control flow,
-   Fig. 10a), then scope parameters supplied by the caller. *)
-let sym_lookup env params name =
-  match List.assoc_opt name params with
-  | Some v -> Some v
-  | None -> (
-    match Hashtbl.find_opt env.symbols name with
-    | Some v -> Some v
-    | None -> (
-      match Hashtbl.find_opt env.containers name with
-      | Some (Tens t) when Tensor.num_elements t = 1 ->
-        (* rank-0 scalars and single-element views alike *)
-        Some (to_int (Tensor.get_scalar t))
-      | Some (Strm s) ->
-        (* len(S): queue length is visible to quiescence conditions *)
-        Some (Array.fold_left (fun acc q -> acc + Queue.length q) 0 s.qs)
-      | Some (Chan c) ->
-        (* transient under streaming; the pipeline verdict rejects any
-           graph whose memlets depend on it *)
-        Some (Stream.length c)
-      | _ -> None))
-
-let eval_expr env params e = Expr.eval (sym_lookup env params) e
-
-let concretize env params subset =
-  Subset.eval (sym_lookup env params) subset
-
-let get_container env name =
-  match Hashtbl.find_opt env.containers name with
-  | Some c -> c
-  | None -> runtime_error "no runtime container %S" name
-
-let get_tensor env name =
-  match get_container env name with
-  | Tens t -> t
-  | Strm _ | Chan _ ->
-    runtime_error "container %S is a stream, expected array" name
-
-let get_stream env name =
-  match get_container env name with
-  | Strm s -> s
-  | Tens _ -> runtime_error "container %S is an array, expected stream" name
-  | Chan _ ->
-    runtime_error "container %S is a live channel, expected a batch stream"
-      name
-
-let stream_queue s idx =
-  let li =
-    match idx with
-    | [] -> 0
-    | _ ->
-      let strides = Tensor.row_major_strides s.q_shape in
-      List.fold_left ( + ) 0
-        (List.mapi (fun d i -> i * strides.(d)) idx)
-  in
-  if li < 0 || li >= Array.length s.qs then
-    runtime_error "stream queue index out of range";
-  s.qs.(li)
-
-let stream_total_len s =
-  Array.fold_left (fun acc q -> acc + Queue.length q) 0 s.qs
-
-(* --- write-back through a memlet --------------------------------------- *)
-
-let apply_wcr env wcr t idx v =
-  match wcr with
-  | None -> Tensor.set t idx v
-  | Some w ->
-    env.stats.wcr_writes <- env.stats.wcr_writes + 1;
-    let old_v = Tensor.get t idx in
-    Tensor.set t idx (Wcr.apply w ~old_v ~new_v:v)
-
-(* --- tasklet execution -------------------------------------------------- *)
-
-(* Bind one input edge of a tasklet to an evaluator binding. *)
-let bind_input env params (t : tasklet) (e : edge) :
-    (string * Tasklang.Eval.binding) option =
-  match e.e_dst_conn, e.e_memlet with
-  | None, _ | _, None -> None
-  | Some conn, Some m -> (
-    let kconn =
-      match List.find_opt (fun c -> c.k_name = conn) t.t_inputs with
-      | Some c -> c
-      | None -> runtime_error "tasklet %S: unknown connector %S" t.t_name conn
-    in
-    match get_container env m.m_data with
-    | Tens tens ->
-      let cview = Tensor.view_subset tens (concretize env params m.m_subset) in
-      let cview =
-        if kconn.k_rank < Tensor.rank cview then Tensor.squeeze cview
-        else cview
-      in
-      env.stats.elements_moved <-
-        env.stats.elements_moved + (if m.m_dynamic then 1 else Tensor.num_elements cview);
-      if kconn.k_rank = 0 then
-        Some (conn, Tasklang.Eval.Scalar (Tensor.get_scalar cview))
-      else
-        Some
-          (conn,
-           Tasklang.Eval.Buffer
-             ((fun idx ->
-                match idx with
-                | [] -> Tensor.get_scalar cview
-                | _ -> Tensor.get cview idx),
-              fun _ _ ->
-                runtime_error "tasklet %S: writing input connector %S"
-                  t.t_name conn))
-    | Strm s ->
-      (* Reading a stream connector pops one element per access. *)
-      Some
-        (conn,
-         Tasklang.Eval.Buffer
-           ((fun _ ->
-              let q = stream_queue s [] in
-              if Queue.is_empty q then
-                runtime_error "pop from empty stream %S" m.m_data
-              else begin
-                env.stats.stream_pops <- env.stats.stream_pops + 1;
-                Queue.pop q
-              end),
-            fun _ _ ->
-              runtime_error "tasklet %S: writing input connector %S" t.t_name
-                conn))
-    | Chan _ ->
-      (* under streaming, the only stream read a worker may perform is
-         the consume scope's popped element, delivered via [popped];
-         the pipeline verdict rejects anything else *)
-      runtime_error
-        "tasklet %S: stream %S read beyond its popped element under \
-         streaming execution"
-        t.t_name m.m_data)
-
-let bind_output env params (t : tasklet) (e : edge) :
-    (string * Tasklang.Eval.binding) option =
-  match e.e_src_conn, e.e_memlet with
-  | None, _ | _, None -> None
-  | Some conn, Some m -> (
-    let kconn =
-      match List.find_opt (fun c -> c.k_name = conn) t.t_outputs with
-      | Some c -> c
-      | None ->
-        runtime_error "tasklet %S: unknown output connector %S" t.t_name conn
-    in
-    match get_container env m.m_data with
-    | Tens tens ->
-      let cview = Tensor.view_subset tens (concretize env params m.m_subset) in
-      let cview =
-        if kconn.k_rank < Tensor.rank cview then Tensor.squeeze cview
-        else cview
-      in
-      let get idx =
-        match idx with
-        | [] -> Tensor.get_scalar cview
-        | _ -> Tensor.get cview idx
-      in
-      let set idx v =
-        env.stats.elements_moved <- env.stats.elements_moved + 1;
-        match idx with
-        | [] ->
-          if Tensor.rank cview = 0 then
-            apply_wcr env m.m_wcr cview [] v
-          else apply_wcr env m.m_wcr cview (List.map (fun _ -> 0) (Array.to_list (Tensor.shape cview))) v
-        | _ -> apply_wcr env m.m_wcr cview idx v
-      in
-      Some (conn, Tasklang.Eval.Buffer (get, set))
-    | Strm s ->
-      let q_idx =
-        (* Address a specific queue of a multi-dimensional stream. *)
-        if Array.length s.q_shape = 0 then []
-        else
-          concretize env params m.m_subset
-          |> List.map (fun r -> r.Subset.c_start)
-      in
-      Some
-        (conn,
-         Tasklang.Eval.Buffer
-           ((fun _ -> runtime_error "reading output stream connector %S" conn),
-            fun _ v ->
-              env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-              Queue.push v (stream_queue s q_idx)))
-    | Chan c ->
-      (* streaming: pushes block when the channel is full (backpressure) *)
-      Some
-        (conn,
-         Tasklang.Eval.Buffer
-           ((fun _ -> runtime_error "reading output stream connector %S" conn),
-            fun _ v ->
-              env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-              Stream.push c v)))
-
-(* [popped] carries elements already dequeued by an enclosing consume
-   scope: connector bindings for those streams deliver the popped value
-   instead of popping again. *)
-let exec_tasklet env params ~popped st nid (t : tasklet) =
-  env.stats.tasklet_execs <- env.stats.tasklet_execs + 1;
-  let in_bindings =
-    List.filter_map
-      (fun (e : edge) ->
-        match e.e_dst_conn, e.e_memlet with
-        | Some conn, Some m when List.mem_assoc m.m_data popped ->
-          Some (conn, Tasklang.Eval.Scalar (List.assoc m.m_data popped))
-        | _ -> bind_input env params t e)
-      (State.in_edges st nid)
-  in
-  let out_bindings =
-    List.filter_map (fun e -> bind_output env params t e)
-      (State.out_edges st nid)
-  in
-  (* Scope parameters and interstate symbols are readable from tasklet
-     code as scalars (e.g. the Mandelbrot tasklets read x and y); memlet
-     bindings shadow them. *)
-  let param_bindings =
-    List.map (fun (p, v) -> (p, Tasklang.Eval.Scalar (I v))) params
-    @ Hashtbl.fold
-        (fun s v acc -> (s, Tasklang.Eval.Scalar (I v)) :: acc)
-        env.symbols []
-  in
-  let bindings = in_bindings @ out_bindings @ param_bindings in
-  match t.t_code with
-  | Code code -> Tasklang.Eval.run ~bindings code
-  | External _ -> (
-    match Hashtbl.find_opt externals t.t_name with
-    | Some impl -> impl bindings
-    | None ->
-      runtime_error
-        "external tasklet %S has no registered native implementation"
-        t.t_name)
-
-(* --- copies between access nodes ----------------------------------------- *)
-
-let exec_copy env params st (e : edge) =
-  match e.e_memlet with
-  | None -> ()
-  | Some m -> (
-    let src_name =
-      match State.node st e.e_src with
-      | Access d -> d
-      | _ -> assert false
-    in
-    let dst_name =
-      match State.node st e.e_dst with
-      | Access d -> d
-      | _ -> assert false
-    in
-    let src_subset, dst_subset =
-      if String.equal m.m_data src_name then (Some m.m_subset, m.m_other)
-      else (m.m_other, Some m.m_subset)
-    in
-    match get_container env src_name, get_container env dst_name with
-    | Tens src_t, Tens dst_t ->
-      let sview =
-        match src_subset with
-        | Some s -> Tensor.view_subset src_t (concretize env params s)
-        | None -> src_t
-      in
-      let dview =
-        match dst_subset with
-        | Some s -> Tensor.view_subset dst_t (concretize env params s)
-        | None -> dst_t
-      in
-      env.stats.elements_moved <-
-        env.stats.elements_moved + Tensor.num_elements sview;
-      if m.m_wcr = None then Tensor.copy_into ~src:sview ~dst:dview
-      else begin
-        (* element-wise combine *)
-        let n = Tensor.num_elements sview in
-        let sidx = Array.make (Tensor.rank sview) 0 in
-        let didx = Array.make (Tensor.rank dview) 0 in
-        let advance t idx =
-          let rec carry d =
-            if d >= 0 then begin
-              idx.(d) <- idx.(d) + 1;
-              if idx.(d) >= (Tensor.shape t).(d) then begin
-                idx.(d) <- 0;
-                carry (d - 1)
-              end
-            end
-          in
-          carry (Array.length idx - 1)
-        in
-        for _ = 1 to n do
-          apply_wcr env m.m_wcr dview (Array.to_list didx)
-            (Tensor.get sview (Array.to_list sidx));
-          advance sview sidx;
-          advance dview didx
-        done
-      end
-    | Strm s, Tens dst_t ->
-      (* Drain the stream into the array (stream "data" connector). *)
-      let n = stream_total_len s in
-      let li = ref 0 in
-      Array.iter
-        (fun q ->
-          while not (Queue.is_empty q) do
-            Tensor.set_linear dst_t (dst_t.Tensor.offset + !li) (Queue.pop q);
-            incr li;
-            env.stats.stream_pops <- env.stats.stream_pops + 1
-          done)
-        s.qs;
-      env.stats.elements_moved <- env.stats.elements_moved + n
-    | Tens src_t, Strm s ->
-      let n = Tensor.num_elements src_t in
-      let idx = Array.make (Tensor.rank src_t) 0 in
-      for _ = 1 to n do
-        Queue.push (Tensor.get src_t (Array.to_list idx)) (stream_queue s []);
-        env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            if idx.(d) >= (Tensor.shape src_t).(d) then begin
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (Tensor.rank src_t - 1)
-      done;
-      env.stats.elements_moved <- env.stats.elements_moved + n
-    | Strm src_s, Strm dst_s ->
-      Array.iteri
-        (fun i q ->
-          while not (Queue.is_empty q) do
-            Queue.push (Queue.pop q) dst_s.qs.(i mod Array.length dst_s.qs)
-          done)
-        src_s.qs
-    | Tens src_t, Chan c ->
-      (* streaming: feed the channel from an array, blocking on
-         backpressure when it fills *)
-      let n = Tensor.num_elements src_t in
-      let idx = Array.make (Tensor.rank src_t) 0 in
-      for _ = 1 to n do
-        Stream.push c (Tensor.get src_t (Array.to_list idx));
-        env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            if idx.(d) >= (Tensor.shape src_t).(d) then begin
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (Tensor.rank src_t - 1)
-      done;
-      env.stats.elements_moved <- env.stats.elements_moved + n
-    | Chan _, _ | _, Chan _ ->
-      runtime_error
-        "copy %S -> %S reads a live channel outside its pipeline stage"
-        src_name dst_name)
-
-(* Copy-in edge: scope entry -> access node, memlet naming the source
-   container on the far side of the scope (LocalStorage pattern,
-   Fig. 11b).  Copies m_subset of m_data into this access's container at
-   m_other (default: the whole transient). *)
-let exec_scope_copy_in env params (e : edge) dst_name =
-  match e.e_memlet with
-  | Some m when not (String.equal m.m_data dst_name) -> (
-    match get_container env m.m_data, get_container env dst_name with
-    | Tens src_t, Tens dst_t ->
-      let sview =
-        Tensor.view_subset src_t (concretize env params m.m_subset)
-      in
-      let dview =
-        match m.m_other with
-        | Some s -> Tensor.view_subset dst_t (concretize env params s)
-        | None -> dst_t
-      in
-      env.stats.elements_moved <-
-        env.stats.elements_moved + Tensor.num_elements sview;
-      Tensor.copy_into ~src:sview ~dst:dview
-    | _ -> runtime_error "scope copy-in between incompatible containers")
-  | _ -> ()
-
-(* Commit edge: access node -> scope exit, memlet naming the destination
-   container (AccumulateTransient / LocalStream patterns).  After a WCR
-   commit the local accumulator is drained back to the identity so the
-   next scope iteration accumulates afresh. *)
-let exec_scope_copy_out env params (e : edge) src_name =
-  match e.e_memlet with
-  | Some m when not (String.equal m.m_data src_name) -> (
-    match get_container env src_name, get_container env m.m_data with
-    | Tens src_t, Tens dst_t ->
-      let sview =
-        match m.m_other with
-        | Some s -> Tensor.view_subset src_t (concretize env params s)
-        | None -> src_t
-      in
-      let dview =
-        Tensor.view_subset dst_t (concretize env params m.m_subset)
-      in
-      env.stats.elements_moved <-
-        env.stats.elements_moved + Tensor.num_elements sview;
-      let n = Tensor.num_elements sview in
-      let sidx = Array.make (Tensor.rank sview) 0 in
-      let didx = Array.make (Tensor.rank dview) 0 in
-      let advance t idx =
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            if idx.(d) >= (Tensor.shape t).(d) then begin
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (Array.length idx - 1)
-      in
-      for _ = 1 to n do
-        apply_wcr env m.m_wcr dview (Array.to_list didx)
-          (Tensor.get sview (Array.to_list sidx));
-        advance sview sidx;
-        advance dview didx
-      done;
-      (* drain the accumulator *)
-      (match m.m_wcr with
-      | Some w -> (
-        match Wcr.identity w (Tensor.dtype sview) with
-        | Some id -> Tensor.fill sview id
-        | None -> ())
-      | None -> ())
-    | Strm src_s, Strm dst_s ->
-      (* local stream flushes into the global stream *)
-      Array.iteri
-        (fun i q ->
-          while not (Queue.is_empty q) do
-            Queue.push (Queue.pop q) dst_s.qs.(i mod Array.length dst_s.qs);
-            env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-            env.stats.stream_pops <- env.stats.stream_pops + 1
-          done)
-        src_s.qs
-    | Strm src_s, Tens dst_t ->
-      (* drain a local stream into an array with WCR at the memlet subset *)
-      let dview =
-        Tensor.view_subset dst_t (concretize env params m.m_subset)
-      in
-      let li = ref 0 in
-      Array.iter
-        (fun q ->
-          while not (Queue.is_empty q) do
-            let v = Queue.pop q in
-            env.stats.stream_pops <- env.stats.stream_pops + 1;
-            (match m.m_wcr with
-            | Some w ->
-              let old_v = Tensor.get_linear dview dview.Tensor.offset in
-              Tensor.set_linear dview dview.Tensor.offset
-                (Wcr.apply w ~old_v ~new_v:v)
-            | None ->
-              Tensor.set_linear dview (dview.Tensor.offset + !li) v);
-            incr li
-          done)
-        src_s.qs
-    | Tens _, Strm dst_s ->
-      let src_t = get_tensor env src_name in
-      let n = Tensor.num_elements src_t in
-      let idx = Array.make (Tensor.rank src_t) 0 in
-      for _ = 1 to n do
-        Queue.push (Tensor.get src_t (Array.to_list idx)) (stream_queue dst_s []);
-        env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            if idx.(d) >= (Tensor.shape src_t).(d) then begin
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (Tensor.rank src_t - 1)
-      done
-    | Tens _, Chan c ->
-      (* streaming: commit a scope-local array into a live channel *)
-      let src_t = get_tensor env src_name in
-      let n = Tensor.num_elements src_t in
-      let idx = Array.make (Tensor.rank src_t) 0 in
-      for _ = 1 to n do
-        Stream.push c (Tensor.get src_t (Array.to_list idx));
-        env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            if idx.(d) >= (Tensor.shape src_t).(d) then begin
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (Tensor.rank src_t - 1)
-      done
-    | Chan _, _ | _, Chan _ ->
-      runtime_error
-        "scope commit %S -> %S reads a live channel outside its pipeline \
-         stage"
-        src_name m.m_data)
-  | _ -> ()
-
-(* --- reduce nodes --------------------------------------------------------- *)
-
-let exec_reduce env params st nid (r_wcr : wcr) (r_axes : int list option)
-    (r_identity : value option) =
-  (* Memlet-less edges are pure ordering dependencies (state fusion adds
-     them to serialize across the seam) — only data edges count here. *)
-  let data_edges = List.filter (fun (e : edge) -> e.e_memlet <> None) in
-  let in_e =
-    match data_edges (State.in_edges st nid) with
-    | [ e ] -> e
-    | es ->
-      runtime_error "reduce node with %d input edges" (List.length es)
-  in
-  let out_e =
-    match data_edges (State.out_edges st nid) with
-    | [ e ] -> e
-    | es ->
-      runtime_error "reduce node with %d output edges" (List.length es)
-  in
-  let in_m = Option.get in_e.e_memlet and out_m = Option.get out_e.e_memlet in
-  let src = get_tensor env in_m.m_data and dst = get_tensor env out_m.m_data in
-  let sview = Tensor.view_subset src (concretize env params in_m.m_subset) in
-  let dview = Tensor.view_subset dst (concretize env params out_m.m_subset) in
-  let in_rank = Tensor.rank sview in
-  let axes =
-    match r_axes with
-    | Some a -> a
-    | None -> List.init in_rank (fun i -> i)  (* reduce everything *)
-  in
-  (match r_identity with
-  | Some id -> Tensor.fill dview id
-  | None -> ());
-  let kept = List.filter (fun d -> not (List.mem d axes)) (List.init in_rank Fun.id) in
-  let n = Tensor.num_elements sview in
-  env.stats.elements_moved <- env.stats.elements_moved + n;
-  let idx = Array.make in_rank 0 in
-  for _ = 1 to n do
-    let out_idx =
-      if Tensor.rank dview = 0 then []
-      else List.map (fun d -> idx.(d)) kept
-    in
-    let out_idx =
-      (* output may have fewer dims than kept axes when out rank is 0 *)
-      if List.length out_idx <> Tensor.rank dview then
-        List.filteri (fun i _ -> i < Tensor.rank dview) out_idx
-      else out_idx
-    in
-    let v = Tensor.get sview (Array.to_list idx) in
-    let old_v = Tensor.get dview out_idx in
-    Tensor.set dview out_idx (Wcr.apply r_wcr ~old_v ~new_v:v);
-    let rec carry d =
-      if d >= 0 then begin
-        idx.(d) <- idx.(d) + 1;
-        if idx.(d) >= (Tensor.shape sview).(d) then begin
-          idx.(d) <- 0;
-          carry (d - 1)
-        end
-      end
-    in
-    carry (in_rank - 1)
-  done
-
-(* --- scope and state execution -------------------------------------------- *)
-
-(* Execute the given nodes (already restricted to one scope level) in the
-   supplied order. *)
-let rec exec_nodes env st ~params ~popped nids =
-  List.iter
-    (fun nid ->
-      match State.node st nid with
-      | Access d ->
-        (* Copy-in edges from an enclosing scope entry. *)
-        List.iter
-          (fun (e : edge) ->
-            if State.is_scope_entry st e.e_src then
-              exec_scope_copy_in env params e d)
-          (State.in_edges st nid);
-        (* Copies to adjacent access nodes, and commit edges through the
-           scope exit. *)
-        List.iter
-          (fun (e : edge) ->
-            match State.node st e.e_dst with
-            | Access _ -> exec_copy env params st e
-            | Map_exit | Consume_exit -> exec_scope_copy_out env params e d
-            | _ -> ())
-          (State.out_edges st nid)
-      | Tasklet t ->
-        timed env Obs.Collect.Tasklet t.t_name ~flag:t.t_instrument (fun () ->
-            exec_tasklet env params ~popped st nid t)
-      | Map_entry info ->
-        timed env Obs.Collect.Map (map_span_name info)
-          ~flag:info.mp_instrument (fun () ->
-            exec_map env st ~params ~popped nid info)
-      | Consume_entry info ->
-        timed env Obs.Collect.Consume info.cs_stream
-          ~flag:info.cs_instrument (fun () ->
-            exec_consume env st ~params ~popped nid info)
-      | Map_exit | Consume_exit -> ()
-      | Reduce r -> exec_reduce env params st nid r.r_wcr r.r_axes r.r_identity
-      | Nested_sdfg nest -> exec_nested env params st nid nest)
-    nids
-
-and exec_map env st ~params ~popped entry (info : map_info) =
-  let body =
-    let members = State.scope_nodes st entry in
-    let parents = State.scope_parents st in
-    let direct =
-      List.filter (fun nid -> Hashtbl.find parents nid = Some entry) members
-    in
-    let order = State.topological_order st in
-    List.filter (fun nid -> List.mem nid direct) order
-  in
-  let ranges =
-    List.map2
-      (fun p (r : Subset.range) ->
-        let lo = eval_expr env params r.start in
-        let hi = eval_expr env params r.stop in
-        let step = eval_expr env params r.stride in
-        if step <= 0 then
-          runtime_error
-            "map over parameter %S in state %S: non-positive stride %d"
-            p st.st_label step;
-        (lo, hi, step))
-      info.mp_params info.mp_ranges
-  in
-  let rec iterate bound = function
-    | [] ->
-      env.stats.map_iterations <- env.stats.map_iterations + 1;
-      exec_nodes env st ~params:(params @ bound) ~popped body
-    | (p, (lo, hi, step)) :: rest ->
-      let i = ref lo in
-      while !i <= hi do
-        iterate (bound @ [ (p, !i) ]) rest;
-        i := !i + step
-      done
-  in
-  iterate [] (List.combine info.mp_params ranges)
-
-and exec_consume env st ~params ~popped entry (info : consume_info) =
-  let body =
-    let members = State.scope_nodes st entry in
-    let parents = State.scope_parents st in
-    let direct =
-      List.filter (fun nid -> Hashtbl.find parents nid = Some entry) members
-    in
-    let order = State.topological_order st in
-    List.filter (fun nid -> List.mem nid direct) order
-  in
-  let s = get_stream env info.cs_stream in
-  (* Quiescence: stop when the stream is empty (paper Fig. 8's
-     "len(S) = 0").  Processing is sequential but equivalent to any
-     interleaving because tasklets only interact through memlets. *)
-  let pe = ref 0 in
-  let num_pes = max 1 (eval_expr env params info.cs_num_pes) in
-  let guard = ref 0 in
-  while stream_total_len s > 0 do
-    incr guard;
-    if !guard > 100_000_000 then
-      runtime_error "consume scope on %S exceeded iteration budget"
-        info.cs_stream;
-    let q = stream_queue s [] in
-    let v = Queue.pop q in
-    env.stats.stream_pops <- env.stats.stream_pops + 1;
-    env.stats.map_iterations <- env.stats.map_iterations + 1;
-    let params' = params @ [ (info.cs_pe_param, !pe mod num_pes) ] in
-    exec_nodes env st ~params:params'
-      ~popped:((info.cs_stream, v) :: popped)
-      body;
-    incr pe
-  done
-
-and exec_nested env params st nid (nest : nested) =
-  let inner = nest.n_sdfg in
-  let in_edges = State.in_edges st nid and out_edges = State.out_edges st nid in
-  let find_edge conn edges get_conn =
-    List.find_opt (fun (e : edge) -> get_conn e = Some conn) edges
-  in
-  let inner_containers = Hashtbl.create 8 in
-  let bind conn (e : edge) =
-    match e.e_memlet with
-    | None -> ()
-    | Some m -> (
-      match get_container env m.m_data with
-      | Tens t ->
-        let view = Tensor.view_subset t (concretize env params m.m_subset) in
-        (* squeeze the outer window down to the inner container's rank *)
-        let inner_rank = ddesc_rank (Sdfg.desc inner conn) in
-        let view =
-          if inner_rank < Tensor.rank view then Tensor.squeeze view else view
-        in
-        Hashtbl.replace inner_containers conn (Tens view)
-      | Strm s -> Hashtbl.replace inner_containers conn (Strm s)
-      | Chan _ ->
-        runtime_error
-          "nested SDFG input %S is a live channel; nested SDFGs do not \
-           run inside pipeline stages"
-          conn)
-  in
-  List.iter
-    (fun conn ->
-      match find_edge conn in_edges (fun e -> e.e_dst_conn) with
-      | Some e -> bind conn e
-      | None -> runtime_error "nested SDFG: unconnected input %S" conn)
-    nest.n_inputs;
-  List.iter
-    (fun conn ->
-      if not (Hashtbl.mem inner_containers conn) then
-        match find_edge conn out_edges (fun e -> e.e_src_conn) with
-        | Some e -> bind conn e
-        | None -> runtime_error "nested SDFG: unconnected output %S" conn)
-    nest.n_outputs;
-  let inner_symbols =
-    List.map
-      (fun (s, e) -> (s, eval_expr env params e))
-      nest.n_symbol_map
-  in
-  (* Inherit outer symbols not explicitly remapped. *)
-  let inherited =
-    Hashtbl.fold
-      (fun k v acc ->
-        if List.mem_assoc k inner_symbols then acc else (k, v) :: acc)
-      env.symbols []
-    @ List.filter (fun (k, _) -> not (List.mem_assoc k inner_symbols)) params
-  in
-  run_in ~containers:inner_containers
-    ~symbols:(inner_symbols @ inherited)
-    ~stats:env.stats ~collector:env.collector ~max_states:env.max_states
-    ~engine:env.engine ~domains:env.domains ~policy:env.policy ~par:env.par
-    ~kernels:env.kernels inner
-
-(* --- top-level execution ---------------------------------------------------- *)
-
-and exec_state env (st : state) =
-  env.stats.states_executed <- env.stats.states_executed + 1;
-  let parents = State.scope_parents st in
-  let order = State.topological_order st in
-  let top = List.filter (fun nid -> Hashtbl.find parents nid = None) order in
-  exec_nodes env st ~params:[] ~popped:[] top
-
-and run_state_machine env =
-  let current = ref (Sdfg.start_state env.g) in
-  let continue_ = ref true in
-  let steps = ref 0 in
-  while !continue_ do
-    incr steps;
-    if !steps > env.max_states then
-      runtime_error "SDFG %S exceeded max state executions (%d)"
-        env.g.g_name env.max_states;
-    (let st = !current in
-     timed env Obs.Collect.State st.st_label ~flag:st.st_instrument
-       (fun () ->
-         match env.engine with
-         | `Reference -> exec_state env st
-         | `Compiled -> !compiled_state_exec env st));
-    let outgoing = Sdfg.out_transitions env.g (State.id !current) in
-    match
-      List.find_opt
-        (fun (t : istate_edge) ->
-          Bexp.eval (sym_lookup env []) t.is_cond)
-        outgoing
-    with
-    | None -> continue_ := false
-    | Some t ->
-      (* Evaluate all right-hand sides before assigning (simultaneous). *)
-      let values =
-        List.map (fun (s, e) -> (s, eval_expr env [] e)) t.is_assign
-      in
-      List.iter (fun (s, v) -> Hashtbl.replace env.symbols s v) values;
-      current := Sdfg.state env.g t.is_dst
-  done
-
-(* Run an SDFG whose containers are already bound (used for nested
-   invocations); allocates any transients not provided. *)
-and run_in ~containers ~symbols ~stats ~collector ~max_states ~engine
-    ~domains ~policy ~par ~kernels (g : sdfg) =
-  let env =
-    { g; containers; symbols = Hashtbl.create 8; stats; collector;
-      max_states; engine; plans = Hashtbl.create 4; domains; policy; par;
-      kernels }
-  in
-  List.iter (fun (s, v) -> Hashtbl.replace env.symbols s v) symbols;
-  (* Allocate missing containers (transients; also non-transients when the
-     caller chose not to bind them — convenient for tests). *)
-  List.iter
-    (fun (name, d) ->
-      if not (Hashtbl.mem containers name) then begin
-        let shape =
-          List.map (fun e -> eval_expr env [] e) (ddesc_shape d)
-          |> Array.of_list
-        in
-        match d with
-        | Array a -> Hashtbl.replace containers name (Tens (Tensor.create a.a_dtype shape))
-        | Stream s ->
-          let nq = max 1 (Array.fold_left ( * ) 1 shape) in
-          Hashtbl.replace containers name
-            (Strm
-               { qs = Array.init nq (fun _ -> Queue.create ());
-                 q_shape = shape;
-                 q_dtype = s.s_dtype })
-      end)
-    (Sdfg.descs g);
-  run_state_machine env
 
 let engine_name : engine -> string = function
   | `Reference -> "reference"
@@ -999,86 +33,6 @@ let engine_of_string : string -> engine option = function
   | "reference" -> Some `Reference
   | "compiled" -> Some `Compiled
   | _ -> None
-
-let counters_of_stats (s : stats) : Obs.Report.counters =
-  { Obs.Report.elements_moved = s.elements_moved;
-    tasklet_execs = s.tasklet_execs;
-    map_iterations = s.map_iterations;
-    stream_pushes = s.stream_pushes;
-    stream_pops = s.stream_pops;
-    states_executed = s.states_executed;
-    wcr_writes = s.wcr_writes }
-
-(* Freeze the policy's per-map records for the report, in registration
-   (= plan) order. *)
-let frozen_decisions (par : par_stats) : Obs.Report.map_decision list =
-  List.rev_map
-    (fun d ->
-      { Obs.Report.pm_state = d.md_state;
-        pm_node = d.md_node;
-        pm_map = d.md_map;
-        pm_kind = d.md_kind;
-        pm_verdict = d.md_verdict;
-        pm_forced = d.md_forced;
-        pm_domains = d.md_domains;
-        pm_reason = d.md_reason;
-        pm_trips = d.md_trips;
-        pm_invocations = d.md_invocations })
-    par.par_decisions
-
-(* The report's multicore section.  A [Fixed] pin above 1 always gets
-   one (the PR 5 contract); [Fixed 1] never does; [Predictive] gets one
-   exactly when the run had something multicore to decide about — so
-   sequential-by-nature programs keep their reports unchanged. *)
-let parallel_section ~policy ~par_domains ~channels ~workers
-    (par : par_stats) : Obs.Report.parallel option =
-  let decisions = frozen_decisions par in
-  let relevant =
-    decisions <> [] || par.par_maps > 0 || par.par_chunks > 0
-    || par.par_forced_seq > 0 || channels <> [] || workers <> []
-  in
-  let section () =
-    { Obs.Report.par_domains;
-      par_policy = policy_name policy;
-      par_maps = par.par_maps;
-      par_chunks = par.par_chunks;
-      par_forced_seq = par.par_forced_seq;
-      par_decisions = decisions;
-      par_channels = channels;
-      par_workers = workers }
-  in
-  match policy with
-  | Fixed d when d > 1 -> Some (section ())
-  | Fixed _ -> if workers <> [] then Some (section ()) else None
-  | Predictive _ -> if relevant then Some (section ()) else None
-
-(* Default domain count: the SDFG_DOMAINS environment variable, clamped
-   to [1, Pool.max_domains].  Unset, unparsable or < 1 means sequential. *)
-let default_domains () =
-  match Sys.getenv_opt "SDFG_DOMAINS" with
-  | None -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> min n 64
-    | _ -> 1)
-
-(* The environment's pin, if any: [Some d] when SDFG_DOMAINS is set to a
-   number (unparsable garbage pins 1, matching {!default_domains});
-   [None] when unset or empty — the predictive policy's opening. *)
-let env_domains () =
-  match Sys.getenv_opt "SDFG_DOMAINS" with
-  | None -> None
-  | Some s -> (
-    let s = String.trim s in
-    if s = "" then None
-    else
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Some (min n 64)
-      | _ -> Some 1)
-
-(* The predictive policy's worker-count ceiling when no cap is given:
-   what the hardware actually offers. *)
-let auto_cap () = max 1 (min (Pool.available ()) 64)
 
 (* --- execution configuration --------------------------------------------- *)
 
@@ -1107,11 +61,12 @@ module Config = struct
       Fmt.str "config: stream_capacity must be >= 1 (got %d)" n
     | Parse msg -> "config: " ^ msg
 
-  (* How the config asks for domains.  [Denv]: defer to SDFG_DOMAINS at
-     run time — set, it pins that count; unset, the predictive policy
-     decides per map up to {!auto_cap}.  [Dfixed d] beats the
-     environment.  [Dauto cap] forces the predictive policy with an
-     optional explicit ceiling. *)
+  (* How the config asks for domains — the one domain-request type.
+     [Denv]: defer to SDFG_DOMAINS at run time — set, it pins that
+     count; unset or empty, the predictive policy decides per map up to
+     the hardware's domain count.  [Dfixed d] beats the environment.
+     [Dauto cap] forces the predictive policy with an optional explicit
+     ceiling. *)
   type domains_spec = Denv | Dfixed of int | Dauto of int option
 
   type t = {
@@ -1139,7 +94,6 @@ module Config = struct
   let with_instrument instrument c = { c with instrument }
   let with_max_states max_states c = { c with max_states }
   let with_domains d c = { c with domains = Dfixed d }
-  let with_default_domains c = { c with domains = Denv }
   let with_auto_domains ?cap c = { c with domains = Dauto cap }
   let with_kernels kernels c = { c with kernels }
   let with_stream_chunk stream_chunk c = { c with stream_chunk }
@@ -1154,24 +108,24 @@ module Config = struct
       | _, Some n when n < 1 -> Error (Invalid_stream_capacity n)
       | _ -> Ok c
 
-  (* The effective worker-count policy: explicit setting first (capped at
-     the pool maximum), then the SDFG_DOMAINS environment variable, then
-     the predictive policy capped at the hardware's domain count. *)
+  (* The one resolver of the domain request: an explicit setting first
+     (clamped to the pool maximum), then the SDFG_DOMAINS environment
+     variable (unparsable garbage pins 1), then the predictive policy
+     capped at the hardware's domain count. *)
   let resolved_policy c : domain_policy =
+    let clamp n = max 1 (min n 64) in
+    let hardware () = Predictive (clamp (Pool.available ())) in
     match c.domains with
-    | Dfixed n -> Fixed (max 1 (min n 64))
-    | Dauto (Some n) -> Predictive (max 1 (min n 64))
-    | Dauto None -> Predictive (auto_cap ())
+    | Dfixed n -> Fixed (clamp n)
+    | Dauto (Some n) -> Predictive (clamp n)
+    | Dauto None -> hardware ()
     | Denv -> (
-      match env_domains () with
-      | Some d -> Fixed d
-      | None -> Predictive (auto_cap ()))
+      match Option.map String.trim (Sys.getenv_opt "SDFG_DOMAINS") with
+      | None | Some "" -> hardware ()
+      | Some s ->
+        Fixed (clamp (Option.value (int_of_string_opt s) ~default:1)))
 
-  (* The worker-count ceiling of {!resolved_policy}: the pinned count
-     under [Fixed], the cap under [Predictive].  What the compiled
-     engine sizes replica sets (and the pool) by. *)
-  let resolved_domains c =
-    match resolved_policy c with Fixed d -> d | Predictive cap -> cap
+  let resolved_domains c = policy_domains (resolved_policy c)
 
   let to_json c : Obs.Json.t =
     Obs.Json.Obj
@@ -1278,6 +232,30 @@ module Config = struct
     validate c
 end
 
+(* --- runs ----------------------------------------------------------------- *)
+
+(* A fresh run environment for [config]: the per-state executor its
+   engine selects, its resolved domain policy, [symbols] bound and no
+   containers yet.  Rejects a config that fails {!Config.validate}. *)
+let make_env (config : Config.t) ~symbols (g : sdfg) =
+  (match Config.validate config with
+  | Ok _ -> ()
+  | Error e -> runtime_error "%s" (Config.error_message e));
+  let env =
+    { g; containers = Hashtbl.create 16; symbols = Hashtbl.create 8;
+      stats = fresh_stats ();
+      collector = Obs.Collect.create config.Config.instrument;
+      max_states = config.Config.max_states;
+      exec_state =
+        (match config.Config.engine with
+        | `Reference -> Reference.exec_state
+        | `Compiled -> Plan.exec_state);
+      plans = Hashtbl.create 4; policy = Config.resolved_policy config;
+      par = fresh_par (); kernels = config.Config.kernels }
+  in
+  List.iter (fun (s, v) -> Hashtbl.replace env.symbols s v) symbols;
+  env
+
 (* Main entry point: run [g] on the given tensors and symbol values.
    Non-transient containers not supplied in [args] are allocated
    zero-initialized and discarded.  The returned report freezes the
@@ -1286,29 +264,15 @@ end
    the resolved domain count exceeds 1 — the multicore summary. *)
 let run ?(config = Config.default) ?(symbols = []) ?(args = [])
     (g : sdfg) : Obs.Report.t =
-  (match Config.validate config with
-  | Ok _ -> ()
-  | Error e -> runtime_error "%s" (Config.error_message e));
-  let policy = Config.resolved_policy config in
-  let domains = Config.resolved_domains config in
-  let stats = fresh_stats () in
-  let par = fresh_par () in
-  let collector = Obs.Collect.create config.Config.instrument in
-  let containers = Hashtbl.create 16 in
-  List.iter (fun (name, t) -> Hashtbl.replace containers name (Tens t)) args;
+  let env = make_env config ~symbols g in
+  List.iter
+    (fun (name, t) -> Hashtbl.replace env.containers name (Tens t))
+    args;
   let t0 = Obs.Collect.now () in
-  run_in ~containers ~symbols ~stats ~collector
-    ~max_states:config.Config.max_states ~engine:config.Config.engine
-    ~domains ~policy ~par ~kernels:config.Config.kernels g;
+  run_in env;
   let wall_s = Obs.Collect.now () -. t0 in
-  let parallel =
-    parallel_section ~policy ~par_domains:domains ~channels:[] ~workers:[]
-      par
-  in
-  Obs.Report.of_collector ?parallel ~program:g.g_name
-    ~engine:(engine_name config.Config.engine) ~wall_s
-    ~counters:(counters_of_stats stats)
-    collector
+  report env ~engine:(engine_name config.Config.engine) ~wall_s ~channels:[]
+    ~workers:[]
 
 (* --- streaming execution --------------------------------------------------- *)
 
@@ -1470,26 +434,14 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
             | Consume_entry i -> i
             | _ -> assert false
           in
-          (* Direct body children in topological order — exactly the
-             batch executor's [exec_consume] schedule. *)
-          let body =
-            let members = State.scope_nodes st entry in
-            let parents = State.scope_parents st in
-            let direct =
-              List.filter
-                (fun nid -> Hashtbl.find parents nid = Some entry)
-                members
-            in
-            let order = State.topological_order st in
-            List.filter (fun nid -> List.mem nid direct) order
-          in
+          (* exactly the batch executor's [exec_consume] schedule *)
+          let body = scope_body st entry in
           let wstats = fresh_stats () in
           let wenv =
-            (* domains = 1: the pool is not reentrant, so inner maps run
+            (* one domain: the pool is not reentrant, so inner maps run
                sequentially inside a pipeline stage *)
-            { env with stats = wstats; containers = stbl; domains = 1;
-              policy = Fixed 1; par = fresh_par ();
-              plans = Hashtbl.create 1 }
+            { env with stats = wstats; containers = stbl; policy = Fixed 1;
+              par = fresh_par (); plans = Hashtbl.create 1 }
           in
           let st_in = chan stg.Analysis.Races.pl_stream in
           let st_out = List.map chan stg.Analysis.Races.pl_pushes in
@@ -1498,8 +450,9 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
              coverage into the shared collector *)
           let num_pes = max 1 (eval_expr wenv [] info.cs_num_pes) in
           let compiled =
-            if wenv.engine = `Compiled then !stage_compiler wenv st entry info
-            else None
+            match config.Config.engine with
+            | `Compiled -> Plan.compile_stage wenv st entry info
+            | `Reference -> None
           in
           let task () =
             let pe = ref 0 in
@@ -1591,19 +544,7 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
            sink hand-off does not count pops either). *)
         Array.iter
           (fun (_, _, stats, _, _) ->
-            match stats with
-            | Some (s : stats) ->
-              env.stats.elements_moved <-
-                env.stats.elements_moved + s.elements_moved;
-              env.stats.tasklet_execs <-
-                env.stats.tasklet_execs + s.tasklet_execs;
-              env.stats.map_iterations <-
-                env.stats.map_iterations + s.map_iterations;
-              env.stats.stream_pushes <-
-                env.stats.stream_pushes + s.stream_pushes;
-              env.stats.stream_pops <- env.stats.stream_pops + s.stream_pops;
-              env.stats.wcr_writes <- env.stats.wcr_writes + s.wcr_writes
-            | None -> ())
+            Option.iter (add_stats ~into:env.stats) stats)
           tasks;
         env.stats.states_executed <- env.stats.states_executed + 1;
         let channels =
@@ -1643,72 +584,31 @@ let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
    copy-in + execute + copy-out. *)
 module Instance = struct
   type t = {
-    i_env : env;
+    i_env : env;  (* its policy is resolved at creation, frozen *)
     i_config : Config.t;
-    i_domains : int;  (* resolved at creation, frozen *)
-    i_policy : domain_policy;  (* resolved at creation, frozen *)
     i_symbols : (string * int) list;
     i_lock : Mutex.t;  (* an instance runs one request at a time *)
   }
 
   let create ?(config = Config.default) ?(symbols = []) (g : sdfg) : t =
-    (match Config.validate config with
-    | Ok _ -> ()
-    | Error e -> runtime_error "%s" (Config.error_message e));
     (* Timing spans memoize into plan closures at compile time, so a
        timed plan would accumulate spans across requests; instances are
        counters-only. *)
     let config = { config with Config.instrument = Obs.Collect.Off } in
-    let domains = Config.resolved_domains config in
-    let policy = Config.resolved_policy config in
-    let g = Sdfg.clone g in  (* isolate from later caller mutation *)
-    let env =
-      { g; containers = Hashtbl.create 16; symbols = Hashtbl.create 8;
-        stats = fresh_stats ();
-        collector = Obs.Collect.create Obs.Collect.Off;
-        max_states = config.Config.max_states;
-        engine = config.Config.engine; plans = Hashtbl.create 4; domains;
-        policy; par = fresh_par (); kernels = config.Config.kernels }
-    in
-    List.iter (fun (s, v) -> Hashtbl.replace env.symbols s v) symbols;
+    (* cloned: isolated from later caller mutation *)
+    let env = make_env config ~symbols (Sdfg.clone g) in
     (* Allocate every container up front so plans and recognized kernels
        bind to tensors that stay stable across runs.  Shapes concretize
        against the instance's symbol valuation, which is why the
        valuation is part of the instance's identity (and of the serve
        cache key). *)
-    List.iter
-      (fun (name, d) ->
-        let shape =
-          List.map (fun e -> eval_expr env [] e) (ddesc_shape d)
-          |> Array.of_list
-        in
-        match d with
-        | Array a ->
-          Hashtbl.replace env.containers name
-            (Tens (Tensor.create a.a_dtype shape))
-        | Stream s ->
-          let nq = max 1 (Array.fold_left ( * ) 1 shape) in
-          Hashtbl.replace env.containers name
-            (Strm
-               { qs = Array.init nq (fun _ -> Queue.create ());
-                 q_shape = shape;
-                 q_dtype = s.s_dtype }))
-      (Sdfg.descs g);
-    { i_env = env; i_config = config; i_domains = domains;
-      i_policy = policy; i_symbols = symbols; i_lock = Mutex.create () }
+    alloc_containers env;
+    { i_env = env; i_config = config; i_symbols = symbols;
+      i_lock = Mutex.create () }
 
   let config inst = inst.i_config
   let symbols inst = inst.i_symbols
   let graph inst = inst.i_env.g
-
-  let reset_stats (s : stats) =
-    s.elements_moved <- 0;
-    s.tasklet_execs <- 0;
-    s.map_iterations <- 0;
-    s.stream_pushes <- 0;
-    s.stream_pops <- 0;
-    s.states_executed <- 0;
-    s.wcr_writes <- 0
 
   let reset_par (p : par_stats) =
     p.par_maps <- 0;
@@ -1801,14 +701,8 @@ module Instance = struct
     run_state_machine env;
     let wall_s = Obs.Collect.now () -. t0 in
     copy_out env args;
-    let parallel =
-      parallel_section ~policy:inst.i_policy ~par_domains:inst.i_domains
-        ~channels:[] ~workers:[] env.par
-    in
-    Obs.Report.of_collector ?parallel ~program:env.g.g_name
-      ~engine:(engine_name env.engine) ~wall_s
-      ~counters:(counters_of_stats env.stats)
-      env.collector
+    report env ~engine:(engine_name inst.i_config.Config.engine) ~wall_s
+      ~channels:[] ~workers:[]
 
   (* Non-destructive peek at a stream container's buffered contents, in
      pop order.  How batch runs expose what streaming runs hand to the
@@ -1848,17 +742,6 @@ module Instance = struct
     in
     let wall_s = Obs.Collect.now () -. t0 in
     copy_out env args;
-    let parallel =
-      let par_domains =
-        match workers with
-        | [] -> inst.i_domains
-        | _ -> List.length workers
-      in
-      parallel_section ~policy:inst.i_policy ~par_domains ~channels
-        ~workers env.par
-    in
-    Obs.Report.of_collector ?parallel ~program:env.g.g_name
-      ~engine:(engine_name env.engine) ~wall_s
-      ~counters:(counters_of_stats env.stats)
-      env.collector
+    report env ~engine:(engine_name inst.i_config.Config.engine) ~wall_s
+      ~channels ~workers
 end

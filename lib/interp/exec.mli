@@ -1,47 +1,20 @@
-(** Reference interpreter for SDFGs — an executable rendition of the
-    operational semantics of Appendix A.
+(** The execution driver — the one entry point above both engines.
 
-    Execution follows the state machine: run the current state's dataflow
-    to quiescence in topological order, evaluate outgoing transitions,
-    apply assignments, repeat until no condition holds.  Map scopes
-    expand their symbolic ranges (Fig. 6b); consume scopes process
-    streams dynamically until quiescence (Fig. 8); WCR memlets combine
-    values with their resolution function; nested SDFGs run on aliased
-    views of the outer memory.
+    The runtime is three layers with no forward references and no
+    registration at module load:
 
-    The interpreter is the semantic oracle of the test suite: every
-    transformation and device offload is checked to preserve its
-    results. *)
+    - {!Reference}, the reference interpreter: an executable rendition
+      of the operational semantics of Appendix A and the semantic oracle
+      of the test suite;
+    - {!Plan} (with {!Kernels}), the compiled engine, which lowers each
+      state once onto the reference runtime environment and falls back
+      to the reference executors for what it does not compile;
+    - this module, which owns the tuning surface ({!Config}), selects
+      the per-state executor from the config's engine, and runs a graph
+      batch-style ({!run}), or through a reusable {!Instance}, streaming
+      included.  Every entry point returns an {!Obs.Report.t}. *)
 
 exception Runtime_error of string
-
-type stream_rt = {
-  qs : Tasklang.Types.value Queue.t array;
-  q_shape : int array;
-  q_dtype : Tasklang.Types.dtype;
-}
-
-type container =
-  | Tens of Tensor.t
-  | Strm of stream_rt
-  | Chan of Tasklang.Types.value Stream.t
-      (** streaming mode only: a live bounded channel with blocking
-          push/pop, substituted for [Strm] in pipeline workers' container
-          tables *)
-
-(** Instrumentation counters gathered during a run. *)
-type stats = {
-  mutable elements_moved : int;   (** memlet-bound element transfers *)
-  mutable tasklet_execs : int;
-  mutable map_iterations : int;
-  mutable stream_pushes : int;
-  mutable stream_pops : int;
-  mutable states_executed : int;
-  mutable wcr_writes : int;       (** write-conflict resolutions applied *)
-}
-
-val fresh_stats : unit -> stats
-val pp_stats : Format.formatter -> stats -> unit
 
 (** How the compiled engine picks a worker count for each
     [Cpu_multicore] map: [Fixed d] dispatches every Parallel-verdict map
@@ -49,65 +22,12 @@ val pp_stats : Format.formatter -> stats -> unit
     {!Machine.Cost.Parallel} per invocation and uses the predicted
     profitable count, up to [cap] — a map that will not profit runs
     sequential by prediction, at sequential cost. *)
-type domain_policy = Fixed of int | Predictive of int
+type domain_policy = Reference.domain_policy =
+  | Fixed of int
+  | Predictive of int
 
 val policy_name : domain_policy -> string
 (** ["fixed"] / ["predictive"] — the report's [par_policy] field. *)
-
-(** One [Cpu_multicore] map's standing policy record: registered when
-    the map is planned, updated on every invocation.  Surfaced in the
-    report's parallel section as [predicted_domains]/[policy_reason]. *)
-type map_decision = {
-  md_state : string;             (** state label *)
-  md_node : int;                 (** map-entry node id within the state *)
-  md_map : string;               (** map span name, ["[i,j]"] *)
-  md_kind : string;              (** bulk-kernel kind, or ["closure"] *)
-  md_verdict : string;           (** race verdict / Serial reason code *)
-  md_forced : bool;              (** counted under [par_forced_seq] *)
-  mutable md_domains : int;      (** worker count of the last invocation *)
-  mutable md_reason : string;    (** policy reason of the last invocation *)
-  mutable md_trips : int;        (** outer trip count, last invocation *)
-  mutable md_invocations : int;
-}
-
-(** Multicore bookkeeping (compiled engine); shared down through nested
-    SDFGs like [stats].  [par_chunks] depends on the domain count —
-    determinism checks across domain counts compare {!stats}. *)
-type par_stats = {
-  mutable par_maps : int;        (** parallel map-scope invocations *)
-  mutable par_chunks : int;      (** chunks dispatched to the pool *)
-  mutable par_forced_seq : int;  (** Cpu_multicore maps forced sequential *)
-  mutable par_decisions : map_decision list;
-      (** per planned Cpu_multicore map, registration order reversed *)
-}
-
-val fresh_par : unit -> par_stats
-
-val register_decision :
-  par_stats ->
-  state:string ->
-  node:int ->
-  map:string ->
-  kind:string ->
-  verdict:string ->
-  forced:bool ->
-  map_decision
-(** Add (or replace, keyed by [(state, node)] — recompiles must not
-    duplicate, and one state may hold two maps over the same span) the
-    decision record for one map; called by {!Plan} at plan time. *)
-
-val default_domains : unit -> int
-(** The [SDFG_DOMAINS] environment variable clamped to [[1, 64]]; 1 when
-    unset or unparsable.  The default of {!run}'s [?domains]. *)
-
-val env_domains : unit -> int option
-(** The environment's pin, if any: [Some d] when [SDFG_DOMAINS] is set
-    (unparsable garbage pins 1); [None] when unset or empty — in which
-    case an unpinned config resolves to the predictive policy. *)
-
-val auto_cap : unit -> int
-(** The predictive policy's default worker-count ceiling:
-    [Pool.available ()] clamped to [[1, 64]]. *)
 
 val register_external :
   string -> ((string * Tasklang.Eval.binding) list -> unit) -> unit
@@ -122,15 +42,6 @@ type engine = [ `Reference | `Compiled ]
     (closure-compiled tasklets, slot-indexed symbol frames, compiled
     memlet offset arithmetic).  Both produce bit-identical results and
     instrumentation counters. *)
-
-val engine_name : engine -> string
-(** ["reference"] / ["compiled"] — the [r_engine] field of reports. *)
-
-val engine_of_string : string -> engine option
-(** Inverse of {!engine_name}; [None] on anything else. *)
-
-val counters_of_stats : stats -> Obs.Report.counters
-(** Freeze the mutable counters into a report's immutable record. *)
 
 (** Execution-tuning configuration — the single surface for every knob
     that used to be a separate optional argument of {!run}.  Build one
@@ -148,10 +59,10 @@ module Config : sig
 
   (** How the config asks for domains: [Denv] (the default) defers to
       the environment — [SDFG_DOMAINS] set pins that count, unset or
-      empty selects the predictive per-map policy capped at
-      {!auto_cap}; [Dfixed d] pins a count, beating the environment;
-      [Dauto cap] forces the predictive policy with an optional
-      explicit ceiling. *)
+      empty selects the predictive per-map policy capped at the
+      hardware's domain count; [Dfixed d] pins a count, beating the
+      environment; [Dauto cap] forces the predictive policy with an
+      optional explicit ceiling. *)
   type domains_spec = Denv | Dfixed of int | Dauto of int option
 
   type t = {
@@ -180,13 +91,10 @@ module Config : sig
   val with_domains : int -> t -> t
   (** Pin the domain count explicitly (beats [SDFG_DOMAINS]). *)
 
-  val with_default_domains : t -> t
-  (** Back to deferring to the environment. *)
-
   val with_auto_domains : ?cap:int -> t -> t
   (** Force the predictive per-map policy, optionally capped at [cap]
-      (default: the hardware's {!auto_cap}), regardless of
-      [SDFG_DOMAINS]. *)
+      (default: the hardware's domain count, [Pool.available ()]
+      clamped to [[1, 64]]), regardless of [SDFG_DOMAINS]. *)
 
   val with_kernels : bool -> t -> t
   val with_stream_chunk : int -> t -> t
@@ -200,10 +108,10 @@ module Config : sig
       maximum (64) are not errors; they clamp. *)
 
   val resolved_policy : t -> domain_policy
-  (** The effective worker-count policy: [Fixed] for [Dfixed] and for
-      [Denv] with [SDFG_DOMAINS] set; [Predictive] for [Dauto] and for
-      [Denv] with [SDFG_DOMAINS] unset/empty.  Counts and caps clamp to
-      [[1, 64]]. *)
+  (** The one resolver of the domain request: [Fixed] for [Dfixed] and
+      for [Denv] with [SDFG_DOMAINS] set (unparsable garbage pins 1);
+      [Predictive] for [Dauto] and for [Denv] with [SDFG_DOMAINS]
+      unset/empty.  Counts and caps clamp to [[1, 64]]. *)
 
   val resolved_domains : t -> int
   (** The worker-count ceiling of {!resolved_policy}: the pinned count
@@ -318,77 +226,3 @@ module Instance : sig
   val symbols : t -> (string * int) list
   val graph : t -> Sdfg_ir.Sdfg.t
 end
-
-(** {1 Engine internals}
-
-    The pieces below are the shared substrate of both engines: the
-    compiled engine ({!Plan}) builds its plans over the same runtime
-    environment and falls back to the reference executors for constructs
-    it does not compile (consume scopes, streams, nested SDFGs, external
-    tasklets, data-dependent symbols), so instrumentation counters stay
-    identical.  Not intended for general use. *)
-
-type cached_plan = { pl_version : int; pl_run : unit -> unit }
-(** A state lowered by the compiled engine, tagged with the structural
-    version ([st_version]) it was compiled at. *)
-
-type env = {
-  g : Sdfg_ir.Defs.sdfg;
-  containers : (string, container) Hashtbl.t;
-  symbols : (string, int) Hashtbl.t;
-  stats : stats;
-  collector : Obs.Collect.t;  (** wall-clock spans + plan coverage *)
-  max_states : int;
-  engine : engine;
-  plans : (int, cached_plan) Hashtbl.t;  (** state id -> cached plan *)
-  domains : int;  (** domains the compiled engine may use (>= 1) *)
-  policy : domain_policy;  (** how each parallel map picks its workers *)
-  par : par_stats;
-  kernels : bool;  (** allow bulk-kernel lowering of affine map bodies *)
-}
-
-val map_span_name : Sdfg_ir.Defs.map_info -> string
-(** Span name of a map scope — shared by both engines so timing trees
-    match shape-for-shape. *)
-
-val timed :
-  env -> Obs.Collect.kind -> string -> flag:bool -> (unit -> 'a) -> 'a
-(** Run a thunk under a span when the collector's level and the
-    construct's [instrument] flag ask for it; otherwise run it untouched. *)
-
-val runtime_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
-(** @raise Runtime_error always. *)
-
-val sym_lookup : env -> (string * int) list -> string -> int option
-(** Symbol environment: scope parameters, then interstate symbols, then
-    rank-0 containers / stream lengths (data-dependent control flow). *)
-
-val eval_expr : env -> (string * int) list -> Symbolic.Expr.t -> int
-
-val exec_nodes :
-  env ->
-  Sdfg_ir.Defs.state ->
-  params:(string * int) list ->
-  popped:(string * Tasklang.Types.value) list ->
-  int list ->
-  unit
-(** Execute the given nodes of one scope level in the supplied order with
-    the reference engine — the fallback path of compiled plans. *)
-
-val set_compiled_state_exec : (env -> Sdfg_ir.Defs.state -> unit) -> unit
-(** Register the compiled engine's state executor; called by {!Plan} at
-    load time. *)
-
-val set_stage_compiler :
-  (env ->
-  Sdfg_ir.Defs.state ->
-  int ->
-  Sdfg_ir.Defs.consume_info ->
-  (int -> Tasklang.Types.value -> unit) option) ->
-  unit
-(** Register the streaming stage compiler; called by {!Plan} at load
-    time.  Invoked once per pipeline worker with the worker's private
-    environment, the state, the consume entry's node id and its info;
-    [Some f] means [f pe v] runs the stage body for one popped element
-    (kernel-lowered map bodies included), [None] keeps the worker on
-    the reference body loop. *)

@@ -419,7 +419,7 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
     match tk.t_code with Code c -> c | External _ -> reject "external"
   in
   (* a timed tasklet must keep its per-execution span *)
-  if Obs.Collect.should_time env.Exec.collector ~flag:tk.t_instrument then
+  if Obs.Collect.should_time env.Reference.collector ~flag:tk.t_instrument then
     reject "instrumented";
   (* connected memlets, in the closure engine's binding order *)
   let ins =
@@ -468,9 +468,9 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
     ins;
   if conn_rank tk.t_outputs oconn <> 0 then reject "connector-rank";
   let tens_of name =
-    match Hashtbl.find_opt env.Exec.containers name with
-    | Some (Exec.Tens t) -> t
-    | Some (Exec.Strm _ | Exec.Chan _) -> reject "stream"
+    match Hashtbl.find_opt env.Reference.containers name with
+    | Some (Reference.Tens t) -> t
+    | Some (Reference.Strm _ | Reference.Chan _) -> reject "stream"
     | None -> reject "container"
   in
   let wcr =
@@ -964,7 +964,7 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
         done
   in
   let track_params = match kind with Kexpr -> uses_params | _ -> false in
-  let stats = env.Exec.stats in
+  let stats = env.Reference.stats in
   let n_moved_per = nin + 1 in
   let has_wcr = wcr <> None in
   let k_run ~frame ~bounds ~lo ~hi ~step ~slow =
@@ -1024,12 +1024,14 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
           for k = 0 to Array.length cfs - 1 do
             ccell.(k) <- cfs.(k) frame
           done;
-          stats.Exec.map_iterations <- stats.Exec.map_iterations + !total;
-          stats.Exec.tasklet_execs <- stats.Exec.tasklet_execs + !total;
-          stats.Exec.elements_moved <-
-            stats.Exec.elements_moved + (!total * n_moved_per);
+          stats.Reference.map_iterations <-
+            stats.Reference.map_iterations + !total;
+          stats.Reference.tasklet_execs <-
+            stats.Reference.tasklet_execs + !total;
+          stats.Reference.elements_moved <-
+            stats.Reference.elements_moved + (!total * n_moved_per);
           if has_wcr then
-            stats.Exec.wcr_writes <- stats.Exec.wcr_writes + !total;
+            stats.Reference.wcr_writes <- stats.Reference.wcr_writes + !total;
           (* outer dimensions advance the shared offsets; [inner] runs
              the innermost row *)
           let rec go d =

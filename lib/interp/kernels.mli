@@ -51,7 +51,7 @@ type t = {
 }
 
 val recognize :
-  env:Exec.env ->
+  env:Reference.env ->
   st:Sdfg_ir.Defs.state ->
   entry:int ->
   info:Sdfg_ir.Defs.map_info ->

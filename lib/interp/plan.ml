@@ -1,11 +1,11 @@
 (* Compiled execution engine: plan once, run many.
 
-   The reference interpreter ({!Exec}) re-derives everything on every map
-   iteration: scope bodies are recomputed per invocation, symbol frames
-   are assoc lists rebuilt per iteration, memlet subsets are concretized
-   through the symbolic evaluator per tasklet execution, and tasklet
-   bodies are re-walked ASTs.  This module lowers each state once into a
-   plan of OCaml closures:
+   The reference interpreter ({!Reference}) re-derives everything on
+   every map iteration: scope bodies are recomputed per invocation,
+   symbol frames are assoc lists rebuilt per iteration, memlet subsets
+   are concretized through the symbolic evaluator per tasklet execution,
+   and tasklet bodies are re-walked ASTs.  This module lowers each state
+   once into a plan of OCaml closures:
 
    - map scopes become native loop nests over a flat [int array] symbol
      frame, with range endpoints compiled by {!Symbolic.Expr.compile} to
@@ -37,7 +37,7 @@ open Tasklang.Types
 exception Fallback
 
 type ctx = {
-  env : Exec.env;
+  env : Reference.env;
   st : state;
   mutable frame : int array;   (* allocated once slot count is known *)
   mutable n_slots : int;
@@ -54,7 +54,7 @@ type ctx = {
    analysis proved disjoint. *)
 type replica = {
   rp_ctx : ctx;                  (* for the frame (symbol refresh) *)
-  rp_stats : Exec.stats;         (* merged into the main stats after join *)
+  rp_stats : Reference.stats;    (* merged into the main stats after join *)
   rp_collector : Obs.Collect.t;  (* absorbed under the map's span *)
   rp_sym : (string * int) array; (* interstate symbol -> replica slot *)
   rp_acc : Tensor.t array;       (* private accumulators, in verdict order *)
@@ -85,8 +85,8 @@ let slot_fn ctx scope_env name =
   match List.assoc_opt name scope_env with
   | Some i -> i
   | None ->
-    if Hashtbl.mem ctx.env.Exec.containers name then raise Fallback
-    else if Hashtbl.mem ctx.env.Exec.symbols name then sym_slot ctx name
+    if Hashtbl.mem ctx.env.Reference.containers name then raise Fallback
+    else if Hashtbl.mem ctx.env.Reference.symbols name then sym_slot ctx name
     else raise Fallback
 
 let comp_expr ctx scope_env e : int array -> int =
@@ -216,16 +216,16 @@ let view_get v =
 
 let view_set env v wcr =
   let get = lin_get v.v_tens and set = lin_set v.v_tens in
-  let stats = env.Exec.stats in
+  let stats = env.Reference.stats in
   let write off value =
     match wcr with
     | None -> set off value
     | Some w ->
-      stats.Exec.wcr_writes <- stats.Exec.wcr_writes + 1;
+      stats.Reference.wcr_writes <- stats.Reference.wcr_writes + 1;
       set off (Wcr.apply w ~old_v:(get off) ~new_v:value)
   in
   fun (idx : int array) value ->
-    stats.Exec.elements_moved <- stats.Exec.elements_moved + 1;
+    stats.Reference.elements_moved <- stats.Reference.elements_moved + 1;
     if Array.length idx = 0 then begin
       (* the reference writes index [0,...,0] of the view: check the
          extents so empty views fail identically *)
@@ -247,7 +247,7 @@ let view_set env v wcr =
    and re-entered thereafter (a plan closure always runs under the same
    static scope chain, so its span's parent is stable). *)
 let spanned ctx kind name ~flag (f : unit -> unit) : unit -> unit =
-  let c = ctx.env.Exec.collector in
+  let c = ctx.env.Reference.collector in
   if not (Obs.Collect.should_time c ~flag) then f
   else
     let memo = ref None in
@@ -276,9 +276,9 @@ let spanned ctx kind name ~flag (f : unit -> unit) : unit -> unit =
    recognition only ever changes how fast the common case runs.  The
    outcome is tallied in plan coverage either way. *)
 let try_kernel ctx scope_env entry (info : map_info) : Kernels.t option =
-  if not ctx.env.Exec.kernels then None
+  if not ctx.env.Reference.kernels then None
   else begin
-    let collector = ctx.env.Exec.collector in
+    let collector = ctx.env.Reference.collector in
     let result =
       (* a parameter shadowed by an enclosing scope does not iterate in
          subscripts (outer bindings win in the reference's assoc order),
@@ -303,18 +303,18 @@ let try_kernel ctx scope_env entry (info : map_info) : Kernels.t option =
 
 (* [strict] compilation admits no reference fallback: any node the plan
    cannot lower raises {!Fallback} instead of building a closure over
-   [Exec.exec_nodes].  The parallel map compiler uses it — worker domains
+   [Reference.exec_nodes].  The parallel map compiler uses it — worker domains
    must only ever run compiled closures (the reference executors walk
    shared mutable engine state: symbol tables, scope caches, the symbolic
    evaluator's memo tables). *)
 let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
-  let collector = ctx.env.Exec.collector in
+  let collector = ctx.env.Reference.collector in
   let fallback () =
     if strict then raise Fallback;
     Obs.Collect.note_fallback_node collector;
     let env = ctx.env and st = ctx.st in
     match scope_env with
-    | [] -> fun () -> Exec.exec_nodes env st ~params:[] ~popped:[] [ nid ]
+    | [] -> fun () -> Reference.exec_nodes env st ~params:[] ~popped:[] [ nid ]
     | _ ->
       let se = Array.of_list scope_env in
       fun () ->
@@ -322,7 +322,7 @@ let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
         let params =
           Array.to_list (Array.map (fun (p, slot) -> (p, fr.(slot))) se)
         in
-        Exec.exec_nodes env st ~params ~popped:[] [ nid ]
+        Reference.exec_nodes env st ~params ~popped:[] [ nid ]
   in
   match State.node ctx.st nid with
   | Map_entry info -> (
@@ -336,7 +336,7 @@ let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
         | None -> comp_map ~strict ctx scope_env nid info
       in
       Obs.Collect.note_compiled_node collector;
-      spanned ctx Obs.Collect.Map (Exec.map_span_name info)
+      spanned ctx Obs.Collect.Map (Reference.map_span_name info)
         ~flag:info.mp_instrument f
     with Fallback -> fallback ())
   | Tasklet t -> (
@@ -395,24 +395,15 @@ and comp_map ?(strict = false) ctx scope_env entry (info : map_info) :
   let dims = Array.of_list dims in
   let pslots = Array.map (fun (p, _, _, _) -> (p, alloc_slot ctx)) dims in
   let scope_env' = scope_env @ Array.to_list pslots in
-  let body_ids =
-    let members = State.scope_nodes ctx.st entry in
-    let parents = State.scope_parents ctx.st in
-    let direct =
-      List.filter (fun nid -> Hashtbl.find parents nid = Some entry) members
-    in
-    List.filter
-      (fun nid -> List.mem nid direct)
-      (State.topological_order ctx.st)
-  in
+  let body_ids = Reference.scope_body ctx.st entry in
   let steps =
     Array.of_list (List.map (comp_node ~strict ctx scope_env') body_ids)
   in
   let nd = Array.length dims in
   let bounds = Array.make (max 1 (nd * 3)) 0 in
-  let stats = ctx.env.Exec.stats in
+  let stats = ctx.env.Reference.stats in
   let run_body () =
-    stats.Exec.map_iterations <- stats.Exec.map_iterations + 1;
+    stats.Reference.map_iterations <- stats.Reference.map_iterations + 1;
     for i = 0 to Array.length steps - 1 do
       (Array.unsafe_get steps i) ()
     done
@@ -450,7 +441,7 @@ and comp_map ?(strict = false) ctx scope_env entry (info : map_info) :
         bounds.((3 * k) + 1) <- hi_f fr;
         let s = step_f fr in
         if s <= 0 then
-          Exec.runtime_error
+          Reference.runtime_error
             "map over parameter %S in state %S: non-positive stride %d" p
             label s;
         bounds.((3 * k) + 2) <- s)
@@ -473,27 +464,27 @@ and comp_map ?(strict = false) ctx scope_env entry (info : map_info) :
 and comp_parallel_map ctx nid (info : map_info) : (unit -> unit) option =
   let env = ctx.env in
   if info.mp_schedule <> Cpu_multicore then None
-  else if (match env.Exec.policy with
-          | Exec.Fixed d -> d <= 1
-          | Exec.Predictive _ -> false)
+  else if (match env.Reference.policy with
+          | Reference.Fixed d -> d <= 1
+          | Reference.Predictive _ -> false)
   then None
   else
-    let par = env.Exec.par in
+    let par = env.Reference.par in
     let forced verdict =
       let seq = comp_map ctx [] nid info in
       let md =
-        Exec.register_decision par ~state:ctx.st.st_label ~node:nid
-          ~map:(Exec.map_span_name info) ~kind:"closure" ~verdict
+        Reference.register_decision par ~state:ctx.st.st_label ~node:nid
+          ~map:(Reference.map_span_name info) ~kind:"closure" ~verdict
           ~forced:true
       in
-      md.Exec.md_reason <- "forced-serial";
+      md.Reference.md_reason <- "forced-serial";
       Some
         (fun () ->
-          par.Exec.par_forced_seq <- par.Exec.par_forced_seq + 1;
-          md.Exec.md_invocations <- md.Exec.md_invocations + 1;
+          par.Reference.par_forced_seq <- par.Reference.par_forced_seq + 1;
+          md.Reference.md_invocations <- md.Reference.md_invocations + 1;
           seq ())
     in
-    match Analysis.Races.analyze_map env.Exec.g ctx.st nid with
+    match Analysis.Races.analyze_map env.Reference.g ctx.st nid with
     (* the analysis must never abort execution: any failure to analyze is
        a failure to prove safety *)
     | exception _ -> forced "analysis-error"
@@ -513,11 +504,11 @@ and comp_parallel_map ctx nid (info : map_info) : (unit -> unit) option =
 and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
     ~containers ~verdict : unit -> unit =
   let env = ctx.env in
-  let d = env.Exec.domains in
-  let policy = env.Exec.policy in
+  let d = Reference.policy_domains env.Reference.policy in
+  let policy = env.Reference.policy in
   let tens name =
-    match Hashtbl.find_opt env.Exec.containers name with
-    | Some (Exec.Tens t) -> t
+    match Hashtbl.find_opt env.Reference.containers name with
+    | Some (Reference.Tens t) -> t
     | _ -> raise Fallback
   in
   (* The race analysis reasons about container *names*; at runtime two
@@ -561,16 +552,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   let nd = Array.length dims in
   if nd = 0 then raise Fallback;
   let bounds = Array.make (nd * 3) 0 in
-  let body_ids =
-    let members = State.scope_nodes ctx.st entry in
-    let parents = State.scope_parents ctx.st in
-    let direct =
-      List.filter (fun nid -> Hashtbl.find parents nid = Some entry) members
-    in
-    List.filter
-      (fun nid -> List.mem nid direct)
-      (State.topological_order ctx.st)
-  in
+  let body_ids = Reference.scope_body ctx.st entry in
   let acc_shared =
     Array.of_list
       (List.map
@@ -593,9 +575,9 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   let make_replica ~solo _ =
     let rcontainers =
       if solo || (n_acc = 0 && Array.length priv_names = 0) then
-        env.Exec.containers
+        env.Reference.containers
       else begin
-        let tbl = Hashtbl.copy env.Exec.containers in
+        let tbl = Hashtbl.copy env.Reference.containers in
         Array.iteri
           (fun a name ->
             let _, t, idv = acc_shared.(a) in
@@ -603,13 +585,13 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
               Tensor.create (Tensor.dtype t) (Array.copy (Tensor.shape t))
             in
             Tensor.fill p idv;
-            Hashtbl.replace tbl name (Exec.Tens p))
+            Hashtbl.replace tbl name (Reference.Tens p))
           acc_names;
         Array.iter
           (fun name ->
             let t = tens name in
             Hashtbl.replace tbl name
-              (Exec.Tens
+              (Reference.Tens
                  (Tensor.create (Tensor.dtype t)
                     (Array.copy (Tensor.shape t)))))
           priv_names;
@@ -618,8 +600,9 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
     in
     let renv =
       { env with
-        Exec.stats = Exec.fresh_stats ();
-        collector = Obs.Collect.create (Obs.Collect.level env.Exec.collector);
+        Reference.stats = Reference.fresh_stats ();
+        collector =
+          Obs.Collect.create (Obs.Collect.level env.Reference.collector);
         containers = rcontainers }
     in
     let rctx =
@@ -642,9 +625,9 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
         (Hashtbl.fold (fun name slot acc -> (name, slot) :: acc)
            rctx.sym_slots [])
     in
-    let stats = renv.Exec.stats in
+    let stats = renv.Reference.stats in
     let run_body () =
-      stats.Exec.map_iterations <- stats.Exec.map_iterations + 1;
+      stats.Reference.map_iterations <- stats.Reference.map_iterations + 1;
       for i = 0 to Array.length steps - 1 do
         (Array.unsafe_get steps i) ()
       done
@@ -690,17 +673,19 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
         Array.map
           (fun name ->
             match Hashtbl.find rcontainers name with
-            | Exec.Tens p -> p
+            | Reference.Tens p -> p
             | _ -> assert false)
           acc_names
     in
-    { rp_ctx = rctx; rp_stats = stats; rp_collector = renv.Exec.collector;
+    { rp_ctx = rctx; rp_stats = stats; rp_collector = renv.Reference.collector;
       rp_sym = sym_refresh; rp_acc;
       rp_kind = Option.map (fun k -> k.Kernels.k_name) kernel;
       rp_run = run_range }
   in
   let predictive =
-    match policy with Exec.Predictive _ -> true | Exec.Fixed _ -> false
+    match policy with
+    | Reference.Predictive _ -> true
+    | Reference.Fixed _ -> false
   in
   let replicas =
     if d > 1 then Array.init d (make_replica ~solo:false) else [||]
@@ -722,11 +707,13 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
     if d > 1 then replicas.(0)
     else match solo with Some s -> s | None -> assert false
   in
-  Obs.Collect.merge_coverage env.Exec.collector coverage_replica.rp_collector;
+  Obs.Collect.merge_coverage env.Reference.collector
+    coverage_replica.rp_collector;
   let kind = coverage_replica.rp_kind in
   let md =
-    Exec.register_decision env.Exec.par ~state:ctx.st.st_label ~node:entry
-      ~map:(Exec.map_span_name info)
+    Reference.register_decision env.Reference.par ~state:ctx.st.st_label
+      ~node:entry
+      ~map:(Reference.map_span_name info)
       ~kind:(match kind with Some k -> k | None -> "closure")
       ~verdict ~forced:false
   in
@@ -742,41 +729,23 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
      bounces between domains the way a shared counter bump would. *)
   let pad = 16 in
   let chunk_tally = Array.make (max 1 (d * pad)) 0 in
-  let par = env.Exec.par in
-  let collector = env.Exec.collector in
-  let main_stats = env.Exec.stats in
+  let par = env.Reference.par in
+  let collector = env.Reference.collector in
+  let main_stats = env.Reference.stats in
   let label = ctx.st.st_label in
   (* merge one worker's counters into the run's; totals stay bit-equal
      to sequential because every iteration is counted exactly once *)
-  let drain_stats (s : Exec.stats) =
-    main_stats.Exec.elements_moved <-
-      main_stats.Exec.elements_moved + s.Exec.elements_moved;
-    main_stats.Exec.tasklet_execs <-
-      main_stats.Exec.tasklet_execs + s.Exec.tasklet_execs;
-    main_stats.Exec.map_iterations <-
-      main_stats.Exec.map_iterations + s.Exec.map_iterations;
-    main_stats.Exec.stream_pushes <-
-      main_stats.Exec.stream_pushes + s.Exec.stream_pushes;
-    main_stats.Exec.stream_pops <-
-      main_stats.Exec.stream_pops + s.Exec.stream_pops;
-    main_stats.Exec.states_executed <-
-      main_stats.Exec.states_executed + s.Exec.states_executed;
-    main_stats.Exec.wcr_writes <-
-      main_stats.Exec.wcr_writes + s.Exec.wcr_writes;
-    s.Exec.elements_moved <- 0;
-    s.Exec.tasklet_execs <- 0;
-    s.Exec.map_iterations <- 0;
-    s.Exec.stream_pushes <- 0;
-    s.Exec.stream_pops <- 0;
-    s.Exec.states_executed <- 0;
-    s.Exec.wcr_writes <- 0
+  let drain_stats s =
+    Reference.add_stats ~into:main_stats s;
+    Reference.reset_stats s
   in
   (* interstate symbols may have changed since the last invocation:
      refresh a participating replica's slots before dispatch *)
   let refresh r =
     let rfr = r.rp_ctx.frame in
     Array.iter
-      (fun (name, slot) -> rfr.(slot) <- Hashtbl.find env.Exec.symbols name)
+      (fun (name, slot) ->
+        rfr.(slot) <- Hashtbl.find env.Reference.symbols name)
       r.rp_sym
   in
   fun () ->
@@ -787,29 +756,29 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
         bounds.((3 * k) + 1) <- hi_f fr;
         let s = step_f fr in
         if s <= 0 then
-          Exec.runtime_error
+          Reference.runtime_error
             "map over parameter %S in state %S: non-positive stride %d" p
             label s;
         bounds.((3 * k) + 2) <- s)
       dims;
     let lo = bounds.(0) and hi = bounds.(1) and step = bounds.(2) in
     if lo > hi then begin
-      md.Exec.md_trips <- 0;
-      md.Exec.md_domains <- 1;
-      md.Exec.md_reason <-
+      md.Reference.md_trips <- 0;
+      md.Reference.md_domains <- 1;
+      md.Reference.md_reason <-
         (match policy with
-        | Exec.Fixed _ -> "pinned"
-        | Exec.Predictive _ -> "zero-trip");
-      md.Exec.md_invocations <- md.Exec.md_invocations + 1
+        | Reference.Fixed _ -> "pinned"
+        | Reference.Predictive _ -> "zero-trip");
+      md.Reference.md_invocations <- md.Reference.md_invocations + 1
     end
     else begin
       let trips = ((hi - lo) / step) + 1 in
       let workers =
         match policy with
-        | Exec.Fixed _ ->
-          md.Exec.md_reason <- "pinned";
+        | Reference.Fixed _ ->
+          md.Reference.md_reason <- "pinned";
           if trips < d then trips else d
-        | Exec.Predictive cap ->
+        | Reference.Predictive cap ->
           (* price the whole nest: outer trips x inner iterations *)
           let inner =
             let p = ref 1 in
@@ -826,12 +795,12 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
               ~max_domains:(if trips < cap then trips else cap)
               ~kind ~trips ~inner ~merge_elems ()
           in
-          md.Exec.md_reason <- dec.Machine.Cost.Parallel.d_reason;
+          md.Reference.md_reason <- dec.Machine.Cost.Parallel.d_reason;
           dec.Machine.Cost.Parallel.d_domains
       in
-      md.Exec.md_trips <- trips;
-      md.Exec.md_domains <- workers;
-      md.Exec.md_invocations <- md.Exec.md_invocations + 1;
+      md.Reference.md_trips <- trips;
+      md.Reference.md_domains <- workers;
+      md.Reference.md_invocations <- md.Reference.md_invocations + 1;
       match solo with
       | Some s when workers <= 1 ->
         (* sequential by prediction: the solo replica runs the whole
@@ -843,7 +812,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
         if Obs.Collect.timing_on collector then
           Obs.Collect.absorb collector s.rp_collector
       | _ ->
-        par.Exec.par_maps <- par.Exec.par_maps + 1;
+        par.Reference.par_maps <- par.Reference.par_maps + 1;
         for w = 0 to workers - 1 do
           refresh replicas.(w)
         done;
@@ -852,7 +821,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
              worker: the private-accumulator merge below then combines
              partial sums in canonical (ascending-iteration) order, so
              results are deterministic for a given domain count *)
-          par.Exec.par_chunks <- par.Exec.par_chunks + workers;
+          par.Reference.par_chunks <- par.Reference.par_chunks + workers;
           Pool.run ~domains:workers (fun w ->
               let t0 = w * trips / workers
               and t1 = (w + 1) * trips / workers in
@@ -867,7 +836,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
              one kernel launch per worker — the whole map runs as
              [workers] flat strided loops with no shared chunk cursor
              to contend on *)
-          par.Exec.par_chunks <- par.Exec.par_chunks + workers;
+          par.Reference.par_chunks <- par.Reference.par_chunks + workers;
           Pool.run ~domains:workers (fun w ->
               let t0 = w * trips / workers
               and t1 = (w + 1) * trips / workers in
@@ -905,7 +874,8 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
               done;
               chunk_tally.(w * pad) <- !mine);
           for w = 0 to workers - 1 do
-            par.Exec.par_chunks <- par.Exec.par_chunks + chunk_tally.(w * pad);
+            par.Reference.par_chunks <-
+              par.Reference.par_chunks + chunk_tally.(w * pad);
             chunk_tally.(w * pad) <- 0
           done
         end;
@@ -944,16 +914,16 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
 (* A tasklet compiles when its code is Tasklang, every connected memlet
    targets an array container, and all subset expressions compile.
    Binding order, counter updates and error behavior mirror
-   [Exec.exec_tasklet] / [bind_input] / [bind_output]. *)
+   [Reference.exec_tasklet] / [bind_input] / [bind_output]. *)
 and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
   let env = ctx.env and st = ctx.st in
   let code = match t.t_code with Code c -> c | External _ -> raise Fallback in
   let tens_of name =
-    match Hashtbl.find_opt env.Exec.containers name with
-    | Some (Exec.Tens tt) -> tt
+    match Hashtbl.find_opt env.Reference.containers name with
+    | Some (Reference.Tens tt) -> tt
     | _ -> raise Fallback  (* streams keep reference pop/push semantics *)
   in
-  let stats = env.Exec.stats in
+  let stats = env.Reference.stats in
   let prologues = ref [] and resolutions = ref [] in
   let add_in (e : edge) =
     match e.e_dst_conn, e.e_memlet with
@@ -962,7 +932,7 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
            | Some (sname, _) -> String.equal sname m.m_data
            | None -> false) ->
       (* the stage's popped stream element: bound as a scalar, no stats
-         counted — mirrors [Exec.exec_tasklet]'s short-circuit *)
+         counted — mirrors [Reference.exec_tasklet]'s short-circuit *)
       let cell =
         match ctx.popped with Some (_, c) -> c | None -> assert false
       in
@@ -984,8 +954,8 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
         prologues :=
           (fun fr ->
             refresh_view v fr;
-            stats.Exec.elements_moved <-
-              stats.Exec.elements_moved + (if dyn then 1 else v.v_vol);
+            stats.Reference.elements_moved <-
+              stats.Reference.elements_moved + (if dyn then 1 else v.v_vol);
             snap := get v.v_base)
           :: !prologues;
         resolutions :=
@@ -996,11 +966,11 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
         prologues :=
           (fun fr ->
             refresh_view v fr;
-            stats.Exec.elements_moved <-
-              stats.Exec.elements_moved + (if dyn then 1 else v.v_vol))
+            stats.Reference.elements_moved <-
+              stats.Reference.elements_moved + (if dyn then 1 else v.v_vol))
           :: !prologues;
         let set _ _ =
-          Exec.runtime_error "tasklet %S: writing input connector %S"
+          Reference.runtime_error "tasklet %S: writing input connector %S"
             t.t_name conn
         in
         resolutions :=
@@ -1017,17 +987,19 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
         | Some c -> c
         | None -> raise Fallback
       in
-      match Hashtbl.find_opt env.Exec.containers m.m_data with
-      | Some (Exec.Chan c) ->
+      match Hashtbl.find_opt env.Reference.containers m.m_data with
+      | Some (Reference.Chan c) ->
         (* streaming stage: pushes go to the live channel, blocking on
-           backpressure — mirrors [Exec.bind_output]'s [Chan] case *)
+           backpressure — mirrors [Reference.bind_output]'s [Chan] case *)
         resolutions :=
           (conn,
            Tasklang.Compile.Buffer_src
              ((fun _ ->
-                Exec.runtime_error "reading output stream connector %S" conn),
+                Reference.runtime_error "reading output stream connector %S"
+                  conn),
               fun _ v ->
-                stats.Exec.stream_pushes <- stats.Exec.stream_pushes + 1;
+                stats.Reference.stream_pushes <-
+                  stats.Reference.stream_pushes + 1;
                 Stream.push c v))
           :: !resolutions
       | _ ->
@@ -1054,15 +1026,15 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
       | Some slot ->
         Some (Tasklang.Compile.Scalar_src (fun () -> I ctx.frame.(slot)))
       | None ->
-        if Hashtbl.mem env.Exec.symbols name then
+        if Hashtbl.mem env.Reference.symbols name then
           Some
             (Tasklang.Compile.Scalar_src
-               (fun () -> I (Hashtbl.find env.Exec.symbols name)))
+               (fun () -> I (Hashtbl.find env.Reference.symbols name)))
         else None)
   in
   let body = Tasklang.Compile.compile ~resolve code in
   fun () ->
-    stats.Exec.tasklet_execs <- stats.Exec.tasklet_execs + 1;
+    stats.Reference.tasklet_execs <- stats.Reference.tasklet_execs + 1;
     let fr = ctx.frame in
     for i = 0 to Array.length prologues - 1 do
       (Array.unsafe_get prologues i) fr
@@ -1071,8 +1043,8 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
 
 (* --- per-state plans ----------------------------------------------------- *)
 
-let prepare (env : Exec.env) (st : state) : Exec.cached_plan =
-  Obs.Collect.note_planned_state env.Exec.collector;
+let prepare (env : Reference.env) (st : state) : Reference.cached_plan =
+  Obs.Collect.note_planned_state env.Reference.collector;
   let ctx =
     { env; st; frame = [||]; n_slots = 0; sym_slots = Hashtbl.create 8;
       popped = None }
@@ -1095,28 +1067,26 @@ let prepare (env : Exec.env) (st : state) : Exec.cached_plan =
   let run () =
     let fr = ctx.frame in
     Array.iter
-      (fun (name, slot) -> fr.(slot) <- Hashtbl.find env.Exec.symbols name)
+      (fun (name, slot) -> fr.(slot) <- Hashtbl.find env.Reference.symbols name)
       sym_refresh;
     for i = 0 to Array.length steps - 1 do
       (Array.unsafe_get steps i) ()
     done
   in
-  { Exec.pl_version = st.st_version; pl_run = run }
+  { Reference.pl_version = st.st_version; pl_run = run }
 
-let exec_state (env : Exec.env) (st : state) =
-  env.Exec.stats.Exec.states_executed <-
-    env.Exec.stats.Exec.states_executed + 1;
+let exec_state (env : Reference.env) (st : state) =
+  env.Reference.stats.Reference.states_executed <-
+    env.Reference.stats.Reference.states_executed + 1;
   let plan =
-    match Hashtbl.find_opt env.Exec.plans st.st_id with
-    | Some p when p.Exec.pl_version = st.st_version -> p
+    match Hashtbl.find_opt env.Reference.plans st.st_id with
+    | Some p when p.Reference.pl_version = st.st_version -> p
     | _ ->
       let p = prepare env st in
-      Hashtbl.replace env.Exec.plans st.st_id p;
+      Hashtbl.replace env.Reference.plans st.st_id p;
       p
   in
-  plan.Exec.pl_run ()
-
-let () = Exec.set_compiled_state_exec exec_state
+  plan.Reference.pl_run ()
 
 (* --- streaming stage bodies ---------------------------------------------- *)
 
@@ -1130,8 +1100,8 @@ let () = Exec.set_compiled_state_exec exec_state
    environment) but a half-lowered plan is not worth the risk of
    diverging counters.  Called on the worker's environment from the
    main domain, before the pipeline starts. *)
-let compile_stage (env : Exec.env) (st : state) entry (info : consume_info) :
-    (int -> value -> unit) option =
+let compile_stage (env : Reference.env) (st : state) entry
+    (info : consume_info) : (int -> value -> unit) option =
   let cell = ref (I 0) in
   let ctx =
     { env; st; frame = [||]; n_slots = 0; sym_slots = Hashtbl.create 8;
@@ -1139,14 +1109,7 @@ let compile_stage (env : Exec.env) (st : state) entry (info : consume_info) :
   in
   let pe_slot = alloc_slot ctx in
   let scope_env = [ (info.cs_pe_param, pe_slot) ] in
-  let body_ids =
-    let members = State.scope_nodes st entry in
-    let parents = State.scope_parents st in
-    let direct =
-      List.filter (fun nid -> Hashtbl.find parents nid = Some entry) members
-    in
-    List.filter (fun nid -> List.mem nid direct) (State.topological_order st)
-  in
+  let body_ids = Reference.scope_body st entry in
   match List.map (comp_node ~strict:true ctx scope_env) body_ids with
   | exception Fallback -> None
   | steps ->
@@ -1161,7 +1124,8 @@ let compile_stage (env : Exec.env) (st : state) entry (info : consume_info) :
       (fun pe v ->
         let fr = ctx.frame in
         Array.iter
-          (fun (name, slot) -> fr.(slot) <- Hashtbl.find env.Exec.symbols name)
+          (fun (name, slot) ->
+            fr.(slot) <- Hashtbl.find env.Reference.symbols name)
           sym_refresh;
         fr.(pe_slot) <- pe;
         cell := v;
@@ -1169,11 +1133,6 @@ let compile_stage (env : Exec.env) (st : state) entry (info : consume_info) :
           (Array.unsafe_get steps i) ()
         done)
 
-let () = Exec.set_stage_compiler compile_stage
-
-(* Referencing these values from a program forces this module to be
-   linked (and thus the engine to be registered); plain
-   [Exec.run ~engine:`Compiled] in a program that never mentions [Plan]
-   could otherwise drop this compilation unit at link time. *)
-let compiled : Exec.engine = `Compiled
-let reference : Exec.engine = `Reference
+(* Engine names for callers that build a config from this module. *)
+let compiled = `Compiled
+let reference = `Reference

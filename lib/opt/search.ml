@@ -1,12 +1,12 @@
 (* Cost-guided transformation search (paper §4.1/§4.2 workflow, automated):
-   enumerate candidates from the Xform registry, score successors with the
+   enumerate candidates from the standard library, score successors with the
    analytic performance model, prune dominated states, and — optionally —
    confirm the surviving beam with measured interpreter medians before
    committing a step.
 
    The search is a greedy hill-climb with a configurable beam width and
    bounded patience for lateral moves.  Every decision is made over sorted
-   enumerations ([Xform.names], candidate indices, (score, chain) ordered
+   enumerations ([Std.names], candidate indices, (score, chain) ordered
    successors), so a model-only search is fully deterministic. *)
 
 module Xform = Transform.Xform
@@ -112,7 +112,7 @@ let signature g = Sdfg_ir.Dot.of_sdfg g
 let realize build chain =
   match
     let g = build () in
-    Result.map (fun () -> g) (Xform.apply_chain g chain)
+    Result.map (fun () -> g) (Transform.Std.apply_chain g chain)
   with
   | r -> r
   | exception e -> Error (Printexc.to_string e)
@@ -163,7 +163,7 @@ let optimize ?(name = "sdfg") (cfg : config) (build : unit -> Sdfg_ir.Sdfg.t)
     | Measured -> if over_budget () then None else Some (measure base)
   in
   let xnames =
-    match cfg.c_xforms with [] -> Xform.names () | names -> names
+    match cfg.c_xforms with [] -> Transform.Std.names | names -> names
   in
   let visited : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.replace visited (signature base) ();
@@ -186,7 +186,7 @@ let optimize ?(name = "sdfg") (cfg : config) (build : unit -> Sdfg_ir.Sdfg.t)
       let extensions =
         List.concat_map
           (fun xn ->
-            match Xform.lookup xn with
+            match Transform.Std.lookup xn with
             | exception _ -> []
             | x ->
               let n =

@@ -2,9 +2,9 @@
     paper's §4 performance-engineer workflow.
 
     The driver is a greedy hill-climb with a configurable beam width:
-    each step enumerates candidate applications from the {!Transform.Xform}
-    registry over sorted names and candidate indices, realizes successors
-    by rebuild-and-replay, scores them with {!Machine.Cost} under the
+    each step enumerates candidate applications from the standard library
+    ({!Transform.Std.all}) over sorted names and candidate indices,
+    realizes successors by rebuild-and-replay, scores them with {!Machine.Cost} under the
     chosen target, prunes dominated states (structurally identical graphs
     and everything beyond the beam), and — in {!Measured} mode — confirms
     the surviving beam with {!Interp.Profile} medians before committing.
@@ -39,7 +39,7 @@ type config = {
   c_min_gain : float;      (** relative gain required to count as improving *)
   c_patience : int;        (** lateral (non-improving) steps tolerated *)
   c_budget_s : float option;  (** wall-clock budget for the whole search *)
-  c_xforms : string list;  (** restrict the registry; [[]] = everything *)
+  c_xforms : string list;  (** restrict the library; [[]] = everything *)
 }
 
 val config :
@@ -64,7 +64,7 @@ val config :
 (** Defaults: paper-testbed spec, default model options, measure at the
     model sizes, model-only, compiled engine, warmup 1 / repeat 5, beam 4,
     8 steps, 8 candidates per transformation, 0.1% minimum gain, patience
-    1, no budget, full registry. *)
+    1, no budget, full library. *)
 
 (** Per-step search log entry. *)
 type step_log = {

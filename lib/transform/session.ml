@@ -46,7 +46,7 @@ let history s = List.rev s.s_history
 (* Apply transformation [name] to candidate [index], recording the step
    and (if a measure was supplied) the post-step figure of merit. *)
 let apply_exn ?(index = 0) s name =
-  let x = Xform.lookup name in
+  let x = Std.lookup name in
   let cands = x.Xform.x_find s.s_current in
   match List.nth_opt cands index with
   | None ->
@@ -68,7 +68,7 @@ let apply ?index s name =
 
 (* Candidates currently available, for interactive exploration. *)
 let candidates s name =
-  (Xform.lookup name).Xform.x_find s.s_current
+  (Std.lookup name).Xform.x_find s.s_current
 
 (* Undo the last [n] steps by replaying the chain prefix on a fresh base
    (transformations mutate in place, so history is replayed, not

@@ -3,15 +3,38 @@
     as a baseline for performance engineers"; Appendix B, Table 4).
 
     Individual transformations live in the [*_xforms] modules; this
-    module aggregates them, registers them with the {!Xform} registry,
-    and provides the strict-transformation cleanup pass of Appendix D. *)
+    module aggregates them into one static list, resolves names against
+    it (interactive tools and optimization-chain files refer to
+    transformations by name, §4.2), and provides the
+    strict-transformation cleanup pass of Appendix D. *)
 
 val all : Xform.t list
-(** The full standard library, in Table-4 order. *)
+(** The full standard library, sorted by name.  Sorting makes
+    enumeration — and therefore every search or tie-break built on it —
+    deterministic. *)
 
-val register_all : unit -> unit
-(** Register every standard transformation with the global {!Xform}
-    registry.  Idempotent; also runs once at module load. *)
+val names : string list
+(** [List.map (fun x -> x.x_name) all]: the sorted name list. *)
+
+val lookup : string -> Xform.t
+(** @raise Xform.Not_applicable on unknown names. *)
+
+val apply_by_name :
+  ?validate:bool -> Sdfg_ir.Sdfg.t -> string -> (unit, string) result
+(** {!Xform.apply_first} of {!lookup}; [Error] also on unknown names. *)
+
+val apply_by_name_exn : ?validate:bool -> Sdfg_ir.Sdfg.t -> string -> unit
+
+val apply_chain :
+  ?validate:bool ->
+  Sdfg_ir.Sdfg.t ->
+  Xform.chain_step list ->
+  (unit, string) result
+(** Replay a chain step by step; [Error] on an unknown transformation,
+    a missing candidate index or a failed application. *)
+
+val apply_chain_exn :
+  ?validate:bool -> Sdfg_ir.Sdfg.t -> Xform.chain_step list -> unit
 
 val strict : Xform.t list
 (** Strict transformations can only improve the program and are applied

@@ -1,11 +1,12 @@
-(* The transformation interface and registry (paper §4.1).
+(* The transformation interface (paper §4.1).
 
    A transformation is a named "find and replace" operation: [find]
    enumerates candidate subgraph matches (pattern matching plus the
    programmatic [can_be_applied]-style checks), [apply] rewrites the SDFG
-   in place.  Transformations registered here are discoverable by name,
-   which is how DIODE-style interactive tools and the optimization-chain
-   files ("optimization version control", §4.2) refer to them. *)
+   in place.  Names are how DIODE-style interactive tools and the
+   optimization-chain files ("optimization version control", §4.2) refer
+   to transformations; {!Std} resolves them against the standard
+   library. *)
 
 open Sdfg_ir
 
@@ -32,27 +33,6 @@ let not_applicable fmt = Fmt.kstr (fun s -> raise (Not_applicable s)) fmt
 let make ~name ~description ~find ~apply =
   { x_name = name; x_description = description; x_find = find; x_apply = apply }
 
-(* --- registry --------------------------------------------------------------- *)
-
-let registry : (string, t) Hashtbl.t = Hashtbl.create 32
-
-let register (x : t) = Hashtbl.replace registry x.x_name x
-
-let lookup name =
-  match Hashtbl.find_opt registry name with
-  | Some x -> x
-  | None -> not_applicable "unknown transformation %S" name
-
-(* Enumeration is sorted by name: the registry is a hash table, whose
-   fold order is arbitrary, and any consumer that searches or tie-breaks
-   over "all transformations" (the optimizer in particular) must see a
-   deterministic order. *)
-let all () =
-  Hashtbl.fold (fun _ x acc -> x :: acc) registry []
-  |> List.sort (fun a b -> String.compare a.x_name b.x_name)
-
-let names () = List.map (fun x -> x.x_name) (all ())
-
 (* --- application ------------------------------------------------------------- *)
 
 (* Apply a transformation to one candidate and re-validate; propagation
@@ -68,9 +48,6 @@ let apply_first_exn ?(validate = true) (g : Sdfg.t) (x : t) =
   match x.x_find g with
   | [] -> not_applicable "%s: no matching subgraph" x.x_name
   | c :: _ -> apply ~validate g x c
-
-let apply_by_name_exn ?(validate = true) g name =
-  apply_first_exn ~validate g (lookup name)
 
 (* Apply a transformation repeatedly until it no longer matches (bounded,
    to guard against non-terminating rewrite loops). *)
@@ -90,18 +67,6 @@ let apply_until_fixpoint_exn ?(validate = true) ?(max_iter = 128) g (x : t) =
    the file format behind "save transformation chains to files" (§4.2). *)
 type chain_step = { cs_xform : string; cs_index : int }
 
-let apply_chain_exn ?(validate = true) g (steps : chain_step list) =
-  List.iter
-    (fun s ->
-      let x = lookup s.cs_xform in
-      let cands = x.x_find g in
-      match List.nth_opt cands s.cs_index with
-      | Some c -> apply ~validate g x c
-      | None ->
-        not_applicable "%s: candidate %d of %d does not exist" s.cs_xform
-          s.cs_index (List.length cands))
-    steps
-
 (* The result-returning surface: callers (the optimizer, the CLI, the
    session) drive control flow on values rather than by catching
    {!Not_applicable}. *)
@@ -111,14 +76,8 @@ let as_result f =
 let apply_first ?validate g x =
   as_result (fun () -> apply_first_exn ?validate g x)
 
-let apply_by_name ?validate g name =
-  as_result (fun () -> apply_by_name_exn ?validate g name)
-
 let apply_until_fixpoint ?validate ?max_iter g x =
   as_result (fun () -> apply_until_fixpoint_exn ?validate ?max_iter g x)
-
-let apply_chain ?validate g steps =
-  as_result (fun () -> apply_chain_exn ?validate g steps)
 
 let chain_to_string steps =
   String.concat "\n"

@@ -1,11 +1,12 @@
-(** The transformation interface and registry (paper §4.1).
+(** The transformation interface (paper §4.1).
 
     A transformation is a named "find and replace" operation on SDFGs:
     [x_find] enumerates candidate subgraph matches (pattern matching plus
     programmatic [can_be_applied]-style checks), [x_apply] rewrites the
     graph in place.  {!apply} re-propagates memlets and re-validates, so
     transformations compose "in a verifiable manner (without breaking
-    semantics)" (§2). *)
+    semantics)" (§2).  {!Std} holds the standard library and resolves
+    transformations by name. *)
 
 type candidate = {
   c_state : int;                  (** state the match lives in *)
@@ -34,32 +35,13 @@ val make :
   apply:(Sdfg_ir.Sdfg.t -> candidate -> unit) ->
   t
 
-(** {1 Registry}
-
-    Named registration makes transformations discoverable by interactive
-    tools and by optimization-chain files ("optimization version
-    control", §4.2). *)
-
-val register : t -> unit
-
-val lookup : string -> t
-(** @raise Not_applicable on unknown names. *)
-
-val all : unit -> t list
-(** Every registered transformation, sorted by name.  The registry is a
-    hash table; sorting makes enumeration — and therefore every search or
-    tie-break built on it — deterministic. *)
-
-val names : unit -> string list
-(** [List.map (fun x -> x.x_name) (all ())]: the sorted name list. *)
-
 (** {1 Application}
 
     The primary application surface returns [(unit, string) result]:
     [Error msg] when the transformation does not apply (no match, failed
-    precondition, unknown name or candidate index), so callers — the
-    optimizer, the CLI, sessions — drive control flow on values.  The
-    [*_exn] variants raise {!Not_applicable} instead. *)
+    precondition), so callers — the optimizer, the CLI, sessions — drive
+    control flow on values.  The [*_exn] variants raise
+    {!Not_applicable} instead. *)
 
 val apply : ?validate:bool -> Sdfg_ir.Sdfg.t -> t -> candidate -> unit
 (** Apply to one candidate, then re-run memlet propagation and (unless
@@ -68,9 +50,6 @@ val apply : ?validate:bool -> Sdfg_ir.Sdfg.t -> t -> candidate -> unit
 val apply_first : ?validate:bool -> Sdfg_ir.Sdfg.t -> t -> (unit, string) result
 (** Apply to the first candidate; [Error] if no subgraph matches. *)
 
-val apply_by_name :
-  ?validate:bool -> Sdfg_ir.Sdfg.t -> string -> (unit, string) result
-
 val apply_until_fixpoint :
   ?validate:bool -> ?max_iter:int -> Sdfg_ir.Sdfg.t -> t -> (unit, string) result
 (** Re-find and apply until the pattern no longer occurs (bounded).
@@ -78,7 +57,6 @@ val apply_until_fixpoint :
     only when an application itself fails midway. *)
 
 val apply_first_exn : ?validate:bool -> Sdfg_ir.Sdfg.t -> t -> unit
-val apply_by_name_exn : ?validate:bool -> Sdfg_ir.Sdfg.t -> string -> unit
 
 val apply_until_fixpoint_exn :
   ?validate:bool -> ?max_iter:int -> Sdfg_ir.Sdfg.t -> t -> unit
@@ -90,11 +68,6 @@ val apply_until_fixpoint_exn :
     ... when tuning to different architectures". *)
 
 type chain_step = { cs_xform : string; cs_index : int }
-
-val apply_chain :
-  ?validate:bool -> Sdfg_ir.Sdfg.t -> chain_step list -> (unit, string) result
-
-val apply_chain_exn : ?validate:bool -> Sdfg_ir.Sdfg.t -> chain_step list -> unit
 
 val chain_to_string : chain_step list -> string
 

@@ -10,7 +10,6 @@ module Oracle = Fuzz.Oracle
 module Shrink = Fuzz.Shrink
 module Driver = Fuzz.Driver
 
-let () = Transform.Std.register_all ()
 
 (* --- PRNG --------------------------------------------------------------- *)
 

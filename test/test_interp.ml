@@ -186,6 +186,28 @@ let test_nested_sdfg () =
   (* halvings until < 1: 0.5->0; 1.0->1; 7.9->3; 16.0->5 *)
   check_floats "halving counts" [ 0.; 1.; 3.; 5. ] counts
 
+(* The compiled engine's per-state executor reaches nested SDFGs: the
+   driver stores it in the run environment and every nested invocation
+   inherits it.  Each of the 4 invocations plans the inner [init] state
+   and the 3 that halve at least once also plan [halve]; with the outer
+   state that is 8 planned states.  A nested graph that fell back to the
+   reference executor would leave the count at 1. *)
+let test_nested_sdfg_compiled () =
+  let g = Fixtures.nested_loop () in
+  let data = farr [| 4 |] (fun i -> [| 0.5; 1.0; 7.9; 16.0 |].(List.hd i)) in
+  let counts = Tensor.create i64 [| 4 |] in
+  let r =
+    Exec.run g
+      ~config:Exec.Config.(default |> with_engine Plan.compiled)
+      ~symbols:[ ("N", 4) ]
+      ~args:[ ("data", data); ("counts", counts) ]
+  in
+  check_floats "halving counts" [ 0.; 1.; 3.; 5. ] counts;
+  match r.R.r_coverage with
+  | Some cov ->
+    Alcotest.(check int) "outer + inner states planned" 8 cov.R.cov_states
+  | None -> Alcotest.fail "compiled run without plan coverage"
+
 (* property: map execution order does not matter — the interpreter result
    equals a reference loop for random inputs *)
 let prop_vadd_random =
@@ -237,7 +259,8 @@ let suite =
     ("Fibonacci consume scope (Fig. 8)", `Quick, test_fibonacci);
     ("data-dependent branching (Fig. 10a)", `Quick, test_branching);
     ("histogram with WCR", `Quick, test_histogram);
-    ("nested SDFG loop (Fig. 10b)", `Quick, test_nested_sdfg) ]
+    ("nested SDFG loop (Fig. 10b)", `Quick, test_nested_sdfg);
+    ("nested SDFG on the compiled engine", `Quick, test_nested_sdfg_compiled) ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_vadd_random; prop_histogram_counts ]
 

@@ -8,7 +8,6 @@ module X = Transform.Xform
 module Search = Opt.Search
 module Cost = Machine.Cost
 
-let () = Transform.Std.register_all ()
 
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
@@ -47,13 +46,13 @@ let t_result_api () =
   | Error msg -> Alcotest.failf "fixpoint with no match should be Ok: %s" msg
 
 let t_registry_sorted () =
-  let names = X.names () in
+  let names = Transform.Std.names in
   Alcotest.(check (list string))
-    "names () is sorted" (List.sort String.compare names) names;
+    "names is sorted" (List.sort String.compare names) names;
   Alcotest.(check bool) "registry is non-empty" true (List.length names > 10);
   Alcotest.(check (list string))
-    "all () matches names ()"
-    (List.map (fun (x : X.t) -> x.x_name) (X.all ()))
+    "all matches names"
+    (List.map (fun (x : X.t) -> x.x_name) Transform.Std.all)
     names
 
 (* --- chain round-trips over the whole registry --------------------------- *)
@@ -67,9 +66,9 @@ let t_chain_roundtrip () =
       Alcotest.(check bool)
         (name ^ " round-trips") true
         (X.chain_of_string (X.chain_to_string steps) = steps))
-    (X.names ());
+    Transform.Std.names;
   let long =
-    List.mapi (fun i name -> { X.cs_xform = name; cs_index = i }) (X.names ())
+    List.mapi (fun i name -> { X.cs_xform = name; cs_index = i }) Transform.Std.names
   in
   Alcotest.(check bool)
     "full-registry chain round-trips" true
@@ -88,7 +87,7 @@ let t_chain_malformed () =
 
 let t_chain_unknown_name () =
   let g = (kernel "gemm").k_build () in
-  match X.apply_chain g [ { X.cs_xform = "NoSuchXform"; cs_index = 0 } ] with
+  match Transform.Std.apply_chain g [ { X.cs_xform = "NoSuchXform"; cs_index = 0 } ] with
   | Ok () -> Alcotest.fail "expected Error for an unknown transformation"
   | Error msg ->
     Alcotest.(check bool)

@@ -245,7 +245,7 @@ let t_err_malformed_chain () =
 
 let t_err_unknown_xform () =
   check_golden "errors.unknown_xform.golden"
-    (message (fun () -> Transform.Xform.lookup "NoSuchTransformation") ^ "\n")
+    (message (fun () -> Transform.Std.lookup "NoSuchTransformation") ^ "\n")
 
 let t_err_duplicate_container () =
   check_golden "errors.duplicate_container.golden"

@@ -1,5 +1,5 @@
 (* The serving layer (ISSUE 7): Exec.Config as the one execution-tuning
-   surface, Sdfg.hash, the wire protocol's bit-exact tensor codec, the
+   surface, Serialize.hash, the wire protocol's bit-exact tensor codec, the
    LRU plan cache (accounting, bound, persistence, cross-domain
    sharing), and the daemon end-to-end — including 100 concurrent
    fuzz-generated requests whose responses must be bit-identical to
@@ -21,20 +21,22 @@ let tmp_name prefix =
 let compiled_1 =
   Exec.Config.(default |> with_engine Interp.Plan.compiled |> with_domains 1)
 
-(* --- Sdfg.hash ----------------------------------------------------------- *)
+(* --- Serialize.hash ------------------------------------------------------ *)
 
 let test_hash () =
   let g = Workloads.Kernels.matmul () in
-  let h = Sdfg.hash g in
+  let h = Serialize.hash g in
   Alcotest.(check int) "hash is hex md5" 32 (String.length h);
-  Alcotest.(check string) "hash = Serialize.hash" (Serialize.hash g) h;
-  Alcotest.(check string) "hash deterministic" h (Sdfg.hash g);
+  Alcotest.(check string) "hash = digest of the serialized text"
+    (Digest.to_hex (Digest.string (Serialize.to_string g)))
+    h;
+  Alcotest.(check string) "hash deterministic" h (Serialize.hash g);
   let reloaded = Serialize.of_string (Serialize.to_string g) in
   Alcotest.(check string) "hash stable across serialize round-trip" h
-    (Sdfg.hash reloaded);
+    (Serialize.hash reloaded);
   let other = Workloads.Kernels.histogram () in
   Alcotest.(check bool) "different graphs hash differently" false
-    (String.equal h (Sdfg.hash other))
+    (String.equal h (Serialize.hash other))
 
 (* --- Exec.Config --------------------------------------------------------- *)
 
@@ -59,21 +61,91 @@ let test_config_validate () =
            (Workloads.Kernels.copy ())
            ~symbols:[ ("N", 4) ]))
 
+(* The domain-selection rules as a table: rows are SDFG_DOMAINS values
+   (unset, empty, a count, garbage, zero, above the pool maximum),
+   columns the config's domain request; each cell is the resolved
+   policy.  An explicit request beats the environment; unset or empty
+   means predictive up to the hardware's domain count.  OCaml cannot
+   unset a variable, so the unset row runs only when the suite starts
+   with SDFG_DOMAINS unset (one leg of the CI matrix); the empty row
+   checks the same rule everywhere. *)
 let test_config_precedence () =
   let open Exec.Config in
-  (* An explicit domain count beats the environment variable. *)
-  let env = try Some (Sys.getenv "SDFG_DOMAINS") with Not_found -> None in
+  let hw_cap = max 1 (min (Interp.Pool.available ()) 64) in
+  let hw = Exec.Predictive hw_cap in
+  let columns =
+    [ ("default", default); ("with_domains 2", with_domains 2 default);
+      ("with_auto_domains ()", with_auto_domains default);
+      ("with_auto_domains ~cap:3", with_auto_domains ~cap:3 default) ]
+  in
+  let predictive = [ hw; Fixed 2; hw; Predictive 3 ] in
+  let pinned d = [ Exec.Fixed d; Fixed 2; hw; Predictive 3 ] in
+  let table =
+    [ (None, predictive); (Some "", predictive); (Some "3", pinned 3);
+      (Some "junk", pinned 1); (Some "0", pinned 1); (Some "100", pinned 64) ]
+  in
+  let policy =
+    Alcotest.testable
+      (fun ppf -> function
+        | Exec.Fixed d -> Fmt.pf ppf "Fixed %d" d
+        | Exec.Predictive c -> Fmt.pf ppf "Predictive %d" c)
+      ( = )
+  in
+  let initial = Sys.getenv_opt "SDFG_DOMAINS" in
   Fun.protect
     ~finally:(fun () ->
-      Unix.putenv "SDFG_DOMAINS" (Option.value env ~default:""))
+      Unix.putenv "SDFG_DOMAINS" (Option.value initial ~default:""))
     (fun () ->
-      Unix.putenv "SDFG_DOMAINS" "4";
-      Alcotest.(check int) "explicit beats SDFG_DOMAINS" 2
-        (resolved_domains (with_domains 2 default));
-      Alcotest.(check int) "None defers to SDFG_DOMAINS" 4
-        (resolved_domains default);
-      Alcotest.(check int) "with_default_domains resets" 4
-        (resolved_domains (with_default_domains (with_domains 2 default))))
+      List.iter
+        (fun (row, expected) ->
+          let runnable =
+            match row with
+            | Some v -> Unix.putenv "SDFG_DOMAINS" v; true
+            | None -> initial = None
+          in
+          if runnable then
+            List.iter2
+              (fun (col, c) want ->
+                Alcotest.check policy
+                  (Fmt.str "SDFG_DOMAINS=%s, %s"
+                     (Option.value row ~default:"<unset>") col)
+                  want (resolved_policy c))
+              columns expected)
+        table;
+      (* Every JSON [domains] form parses to the policy of its setter
+         and to that setter's plan-cache key.  Host-independent forms
+         are also pinned to fixed digests, so cache entries persisted
+         by a daemon stay addressable across releases. *)
+      let parsed j =
+        match of_json (Json.Obj [ ("domains", j) ]) with
+        | Ok c -> c
+        | Error e -> Alcotest.fail (error_message e)
+      in
+      let key c =
+        Protocol.cache_key ~sdfg_text:"sdfg" ~symbols:[ ("N", 4) ] ~config:c
+      in
+      let check_form env j setter golden =
+        Unix.putenv "SDFG_DOMAINS" env;
+        let c = parsed j in
+        let name = Fmt.str "SDFG_DOMAINS=%s, %s" env (Json.to_string j) in
+        Alcotest.check policy name (resolved_policy setter)
+          (resolved_policy c);
+        Alcotest.(check string) (name ^ " key") (key setter) (key c);
+        Option.iter
+          (fun g -> Alcotest.(check string) (name ^ " digest") g (key c))
+          golden
+      in
+      check_form "3" Json.Null (with_domains 3 default)
+        (Some "58c3e5e557ab81ddcd6bcfd08c340623");
+      check_form "junk" Json.Null (with_domains 1 default)
+        (Some "d8be4fa9577dfb906a53f0d635276c94");
+      check_form "" Json.Null (with_auto_domains ~cap:hw_cap default) None;
+      check_form "3" (Json.Int 2) (with_domains 2 default)
+        (Some "afd70d38b2d8a1e82faf77401471520b");
+      check_form "3" (Json.Str "auto")
+        (with_auto_domains ~cap:hw_cap default) None;
+      check_form "3" (Json.Str "auto:3") (with_auto_domains ~cap:3 default)
+        (Some "5d0f0215b6c3b70bb2252b7dbca7ca36"))
 
 let test_config_json () =
   let open Exec.Config in
@@ -815,7 +887,7 @@ let test_server_shutdown_request () =
   Alcotest.(check bool) "socket file released" false (Sys.file_exists socket)
 
 let suite =
-  [ Alcotest.test_case "Sdfg.hash stability" `Quick test_hash;
+  [ Alcotest.test_case "Serialize.hash stability" `Quick test_hash;
     Alcotest.test_case "Config validation is typed" `Quick
       test_config_validate;
     Alcotest.test_case "Config domains precedence" `Quick

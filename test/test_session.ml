@@ -20,7 +20,6 @@ let apply_ok s name =
   | Error msg -> Alcotest.failf "apply %s unexpectedly failed: %s" name msg
 
 let t_apply_result () =
-  Std.register_all ();
   let s = Session.create Workloads.Kernels.matmul_mapreduce in
   (* unknown transformation: Error, not an exception *)
   (match Session.apply s "NoSuchTransformation" with
@@ -53,7 +52,6 @@ let t_apply_result () =
   Alcotest.(check int) "one step recorded" 1 (List.length (Session.history s))
 
 let t_chain_roundtrip () =
-  Std.register_all ();
   let expected = run_c (Workloads.Kernels.matmul_mapreduce ()) in
   let s = Session.create Workloads.Kernels.matmul_mapreduce in
   apply_ok s "MapReduceFusion";
@@ -83,7 +81,6 @@ let t_chain_roundtrip () =
         (run_c (Session.current replayed)))
 
 let t_branch_at () =
-  Std.register_all ();
   let expected = run_c (Workloads.Kernels.matmul_mapreduce ()) in
   let s = Session.create Workloads.Kernels.matmul_mapreduce in
   apply_ok s "MapReduceFusion";
@@ -111,7 +108,6 @@ let t_branch_at () =
   check_c "original preserves semantics" expected (run_c (Session.current s))
 
 let t_profiled_measure () =
-  Std.register_all ();
   let s =
     Session.create_profiled ~warmup:0 ~repeat:1 ~symbols
       Workloads.Kernels.matmul_mapreduce

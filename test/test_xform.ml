@@ -325,15 +325,14 @@ let t_chain_format () =
   Alcotest.(check int) "two steps" 2 (List.length steps);
   let reference = run_matmul (Fixtures.matmul_wcr ()) in
   let g = Fixtures.matmul_wcr () in
-  Transform.Xform.apply_chain_exn g steps;
+  Transform.Std.apply_chain_exn g steps;
   check_same "chain application" reference (run_matmul g)
 
 let t_registry () =
-  Transform.Std.register_all ();
   Alcotest.(check bool) "16+ transformations registered" true
-    (List.length (Transform.Xform.all ()) >= 16);
+    (List.length Transform.Std.all >= 16);
   List.iter
-    (fun name -> ignore (Transform.Xform.lookup name))
+    (fun name -> ignore (Transform.Std.lookup name))
     [ "MapCollapse"; "MapExpansion"; "MapFusion"; "MapInterchange";
       "MapReduceFusion"; "MapTiling"; "DoubleBuffering"; "LocalStorage";
       "LocalStream"; "Vectorization"; "MapToForLoop"; "StateFusion";
@@ -441,7 +440,6 @@ let suite = suite @ cleanup_suite
 (* --- DIODE-style optimization sessions (§4.2) --------------------------------- *)
 
 let t_session () =
-  Transform.Std.register_all ();
   let measure g =
     let r =
       Machine.Cost.estimate ~spec:Machine.Spec.paper_testbed
