@@ -5,7 +5,20 @@
    (with WCR and dynamic flags), scope pairings, inter-state transitions,
    symbols, and nested SDFGs.  Symbolic expressions print in prefix form;
    tasklet code embeds as source text and re-parses through the tasklet
-   parser. *)
+   parser.
+
+   Both directions are single linear passes.  The reader walks the text
+   with one index into an s-expression tree, taking every atom and every
+   escape-free string with one [String.sub], and decodes every escape the
+   printer emits; the tree is then decoded into a graph.  The printer
+   writes the graph straight into one [Buffer] with a fixed layout: one
+   container, state, node, edge, scope pair or transition per line,
+   indented by nesting depth, everything inside those forms flat (a
+   nested SDFG prints flat inside its node's line).  The printed text is
+   the canonical form of a graph — the serve daemon keys its plan cache
+   on it — so nothing in it depends on hashtable history: nodes, edges
+   and scope pairs print sorted by id.  Every malformed input raises
+   [Parse_error]. *)
 
 module Expr = Symbolic.Expr
 module Subset = Symbolic.Subset
@@ -13,114 +26,267 @@ open Defs
 
 exception Parse_error of string
 
-let parse_error fmt = Fmt.kstr (fun s -> raise (Parse_error s)) fmt
+let parse_error fmt = Printf.ksprintf (fun s -> raise (Parse_error s)) fmt
 
 (* --- s-expressions ------------------------------------------------------- *)
 
 type sexp = Atom of string | Str of string | List of sexp list
 
-let rec pp_sexp ppf = function
-  | Atom a -> Fmt.string ppf a
-  | Str s -> Fmt.pf ppf "%S" s
-  | List xs -> Fmt.pf ppf "(@[<hov 1>%a@])" Fmt.(list ~sep:sp pp_sexp) xs
+(* flat, for error messages *)
+let rec add_sexp b = function
+  | Atom a -> Buffer.add_string b a
+  | Str s -> Printf.bprintf b "%S" s
+  | List xs ->
+    Buffer.add_char b '(';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_char b ' ';
+        add_sexp b x)
+      xs;
+    Buffer.add_char b ')'
 
-let sexp_to_string s = Fmt.str "%a" pp_sexp s
+let sexp_to_string s =
+  let b = Buffer.create 64 in
+  add_sexp b s;
+  Buffer.contents b
+
+let is_digit c = c >= '0' && c <= '9'
+
+(* Decode a quoted string whose opening quote precedes [start]; returns
+   the contents and the index after the closing quote. *)
+let read_string src start =
+  let n = String.length src in
+  let rec plain i =
+    if i >= n then parse_error "unterminated string at byte %d" (start - 1)
+    else
+      match String.unsafe_get src i with
+      | '"' -> (String.sub src start (i - start), i + 1)
+      | '\\' ->
+        let b = Buffer.create (i - start + 16) in
+        Buffer.add_substring b src start (i - start);
+        escaped b i
+      | _ -> plain (i + 1)
+  and escaped b i =
+    if i >= n then parse_error "unterminated string at byte %d" (start - 1)
+    else
+      match String.unsafe_get src i with
+      | '"' -> (Buffer.contents b, i + 1)
+      | '\\' ->
+        if i + 1 >= n then parse_error "unterminated escape at byte %d" i;
+        let c = src.[i + 1] in
+        if is_digit c then begin
+          if i + 3 >= n || not (is_digit src.[i + 2] && is_digit src.[i + 3])
+          then parse_error "bad decimal escape at byte %d" i;
+          let code =
+            (100 * (Char.code c - 48))
+            + (10 * (Char.code src.[i + 2] - 48))
+            + (Char.code src.[i + 3] - 48)
+          in
+          if code > 255 then
+            parse_error "decimal escape out of range at byte %d" i;
+          Buffer.add_char b (Char.chr code);
+          escaped b (i + 4)
+        end
+        else begin
+          Buffer.add_char b
+            (match c with
+            | 'n' -> '\n'
+            | 't' -> '\t'
+            | 'r' -> '\r'
+            | 'b' -> '\b'
+            | c -> c);
+          escaped b (i + 2)
+        end
+      | c ->
+        Buffer.add_char b c;
+        escaped b (i + 1)
+  in
+  plain start
+
+(* One shared atom per byte: one-character atoms ([_], [0], [1], loop
+   parameters) are the most common tokens, and sharing them saves an
+   allocation each. *)
+let char_atoms = Array.init 256 (fun c -> Atom (String.make 1 (Char.chr c)))
 
 let parse_sexp (src : string) : sexp =
   let n = String.length src in
   let pos = ref 0 in
-  let peek () = if !pos < n then Some src.[!pos] else None in
-  let skip_ws () =
-    while
-      !pos < n
-      && (src.[!pos] = ' ' || src.[!pos] = '\n' || src.[!pos] = '\t'
-         || src.[!pos] = '\r')
-    do
-      incr pos
-    done
+  let rec skip_ws () =
+    if !pos < n then
+      match String.unsafe_get src !pos with
+      | ' ' | '\n' | '\t' | '\r' ->
+        incr pos;
+        skip_ws ()
+      | _ -> ()
   in
-  let rec parse () =
+  let rec atom_end i =
+    if i >= n then i
+    else
+      match String.unsafe_get src i with
+      | ' ' | '\n' | '\t' | '\r' | '(' | ')' | '"' -> i
+      | _ -> atom_end (i + 1)
+  in
+  let rec value () =
     skip_ws ();
-    match peek () with
-    | None -> parse_error "unexpected end of input"
-    | Some '(' ->
+    if !pos >= n then parse_error "unexpected end of input";
+    match String.unsafe_get src !pos with
+    | '(' ->
       incr pos;
-      let items = ref [] in
-      let rec loop () =
-        skip_ws ();
-        match peek () with
-        | Some ')' ->
-          incr pos;
-          List (List.rev !items)
-        | None -> parse_error "unclosed parenthesis"
-        | Some _ ->
-          items := parse () :: !items;
-          loop ()
-      in
-      loop ()
-    | Some '"' ->
-      (* OCaml-style quoted string *)
-      let buf = Buffer.create 16 in
-      incr pos;
-      let rec scan () =
-        if !pos >= n then parse_error "unterminated string"
-        else
-          match src.[!pos] with
-          | '"' -> incr pos
-          | '\\' ->
-            if !pos + 1 >= n then parse_error "bad escape";
-            (match src.[!pos + 1] with
-            | 'n' -> Buffer.add_char buf '\n'
-            | 't' -> Buffer.add_char buf '\t'
-            | '\\' -> Buffer.add_char buf '\\'
-            | '"' -> Buffer.add_char buf '"'
-            | 'r' -> Buffer.add_char buf '\r'
-            | c -> Buffer.add_char buf c);
-            pos := !pos + 2;
-            scan ()
-          | c ->
-            Buffer.add_char buf c;
-            incr pos;
-            scan ()
-      in
-      scan ();
-      Str (Buffer.contents buf)
-    | Some ')' -> parse_error "unexpected ')'"
-    | Some _ ->
+      List (items ())
+    | ')' -> parse_error "unexpected ')' at byte %d" !pos
+    | '"' ->
+      let s, next = read_string src (!pos + 1) in
+      pos := next;
+      Str s
+    | _ ->
       let start = !pos in
-      while
-        !pos < n
-        && not
-             (List.mem src.[!pos] [ ' '; '\n'; '\t'; '\r'; '('; ')'; '"' ])
-      do
-        incr pos
-      done;
-      Atom (String.sub src start (!pos - start))
+      pos := atom_end start;
+      if !pos = start + 1 then char_atoms.(Char.code src.[start])
+      else Atom (String.sub src start (!pos - start))
+  (* built in order: recursion depth is one list's length *)
+  and items () =
+    skip_ws ();
+    if !pos >= n then parse_error "unclosed parenthesis"
+    else if String.unsafe_get src !pos = ')' then begin
+      incr pos;
+      []
+    end
+    else
+      let v = value () in
+      v :: items ()
   in
-  let result = parse () in
+  let result = value () in
   skip_ws ();
   if !pos <> n then parse_error "trailing input after s-expression";
   result
 
-(* --- symbolic expressions -------------------------------------------------- *)
+(* --- scalar atoms -------------------------------------------------------- *)
 
-let rec expr_to_sexp (e : Expr.t) : sexp =
+let int_of_atom what a =
+  match int_of_string_opt a with
+  | Some n -> n
+  | None -> parse_error "bad %s %S: not an integer" what a
+
+let bool_of_atom what = function
+  | "true" -> true
+  | "false" -> false
+  | a -> parse_error "bad %s %S: not a bool" what a
+
+let float_of_atom a =
+  match float_of_string_opt a with
+  | Some x -> x
+  | None -> parse_error "bad float %S" a
+
+(* tasklet source embedded in the text: its own parser's errors (and the
+   lexer's failed number conversions) are malformed input too *)
+let tasklang what parse src =
+  try parse src with
+  | Tasklang.Parse.Parse_error m | Failure m ->
+    parse_error "bad %s %S: %s" what src m
+
+(* --- printer primitives -------------------------------------------------- *)
+
+let put = Buffer.add_string
+let sp b = Buffer.add_char b ' '
+let close b = Buffer.add_char b ')'
+
+(* opens a form: "(head" *)
+let form b head =
+  Buffer.add_char b '(';
+  put b head
+
+(* digit by digit: [string_of_int] goes through the C format machinery,
+   and ids and extents are most of a graph's atoms *)
+let rec put_digits b n =
+  if n >= 10 then put_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let put_int b n =
+  if n >= 0 then put_digits b n
+  else if n = min_int then put b (string_of_int n)
+  else begin
+    Buffer.add_char b '-';
+    put_digits b (-n)
+  end
+
+let put_bool b v = put b (if v then "true" else "false")
+
+(* OCaml [%S] quoting; [String.escaped] returns its argument when nothing
+   needs escaping *)
+let put_str b s =
+  Buffer.add_char b '"';
+  put b (String.escaped s);
+  Buffer.add_char b '"'
+
+(* "(x y z)" *)
+let put_list b f xs =
+  Buffer.add_char b '(';
+  List.iteri
+    (fun i x ->
+      if i > 0 then sp b;
+      f b x)
+    xs;
+  close b
+
+(* "(head x y z)" *)
+let put_app b head f xs =
+  form b head;
+  List.iter
+    (fun x ->
+      sp b;
+      f b x)
+    xs;
+  close b
+
+let spaces = String.make 64 ' '
+
+(* The separator before an item of a laid-out form: a new line indented
+   to [depth] when laying out ([Some depth]), one space inside a flat
+   form ([None]). *)
+let item_break b = function
+  | None -> sp b
+  | Some depth ->
+    Buffer.add_char b '\n';
+    Buffer.add_substring b spaces 0 (min 64 (2 * depth))
+
+(* "(head" + one [item_break] per item + ")" *)
+let put_block b depth head f xs =
+  form b head;
+  List.iter
+    (fun x ->
+      item_break b depth;
+      f b x)
+    xs;
+  close b
+
+let deeper = Option.map succ
+
+let put_instrument b on = if on then put b " instrument"
+
+(* --- symbolic expressions ------------------------------------------------ *)
+
+let rec put_expr b (e : Expr.t) =
   match e with
-  | Expr.Int n -> Atom (string_of_int n)
-  | Expr.Sym s -> Atom s
-  | Expr.Add xs -> List (Atom "+" :: List.map expr_to_sexp xs)
-  | Expr.Mul xs -> List (Atom "*" :: List.map expr_to_sexp xs)
-  | Expr.Div (a, b) -> List [ Atom "/"; expr_to_sexp a; expr_to_sexp b ]
-  | Expr.Mod (a, b) -> List [ Atom "%"; expr_to_sexp a; expr_to_sexp b ]
-  | Expr.Min (a, b) -> List [ Atom "min"; expr_to_sexp a; expr_to_sexp b ]
-  | Expr.Max (a, b) -> List [ Atom "max"; expr_to_sexp a; expr_to_sexp b ]
+  | Expr.Int n -> put_int b n
+  | Expr.Sym s -> put b s
+  | Expr.Add xs -> put_app b "+" put_expr xs
+  | Expr.Mul xs -> put_app b "*" put_expr xs
+  | Expr.Div (x, y) -> put_app b "/" put_expr [ x; y ]
+  | Expr.Mod (x, y) -> put_app b "%" put_expr [ x; y ]
+  | Expr.Min (x, y) -> put_app b "min" put_expr [ x; y ]
+  | Expr.Max (x, y) -> put_app b "max" put_expr [ x; y ]
 
 let rec expr_of_sexp (s : sexp) : Expr.t =
   match s with
   | Atom a -> (
-    match int_of_string_opt a with
-    | Some n -> Expr.Int n
-    | None -> Expr.Sym a)
+    (* only a leading digit or sign can start an integer: symbol names
+       skip the failing conversion *)
+    match a.[0] with
+    | '0' .. '9' | '-' | '+' -> (
+      match int_of_string_opt a with
+      | Some n -> Expr.Int n
+      | None -> Expr.Sym a)
+    | _ -> Expr.Sym a)
   | List (Atom "+" :: xs) -> Expr.Add (List.map expr_of_sexp xs)
   | List (Atom "*" :: xs) -> Expr.Mul (List.map expr_of_sexp xs)
   | List [ Atom "/"; a; b ] -> Expr.Div (expr_of_sexp a, expr_of_sexp b)
@@ -129,10 +295,8 @@ let rec expr_of_sexp (s : sexp) : Expr.t =
   | List [ Atom "max"; a; b ] -> Expr.Max (expr_of_sexp a, expr_of_sexp b)
   | s -> parse_error "bad expression %s" (sexp_to_string s)
 
-let range_to_sexp (r : Subset.range) =
-  List
-    [ expr_to_sexp r.start; expr_to_sexp r.stop; expr_to_sexp r.stride;
-      expr_to_sexp r.tile ]
+let put_range b (r : Subset.range) =
+  put_list b put_expr [ r.start; r.stop; r.stride; r.tile ]
 
 let range_of_sexp = function
   | List [ a; b; c; d ] ->
@@ -140,15 +304,13 @@ let range_of_sexp = function
       stride = expr_of_sexp c; tile = expr_of_sexp d }
   | s -> parse_error "bad range %s" (sexp_to_string s)
 
-let subset_to_sexp (s : Subset.t) = List (List.map range_to_sexp s)
+let put_subset b (s : Subset.t) = put_list b put_range s
 
 let subset_of_sexp = function
   | List rs -> List.map range_of_sexp rs
   | s -> parse_error "bad subset %s" (sexp_to_string s)
 
 (* --- scalar pieces ----------------------------------------------------------- *)
-
-let dtype_to_atom dt = Atom (Tasklang.Types.dtype_name dt)
 
 let dtype_of_sexp = function
   | Atom "float32" -> Tasklang.Types.F32
@@ -157,8 +319,6 @@ let dtype_of_sexp = function
   | Atom "int64" -> Tasklang.Types.I64
   | Atom "bool" -> Tasklang.Types.Bool
   | s -> parse_error "bad dtype %s" (sexp_to_string s)
-
-let storage_to_atom st = Atom (storage_name st)
 
 let storage_of_sexp = function
   | Atom "Default" -> Default
@@ -171,8 +331,6 @@ let storage_of_sexp = function
   | Atom "FPGA_Local" -> Fpga_local
   | s -> parse_error "bad storage %s" (sexp_to_string s)
 
-let schedule_to_atom s = Atom (schedule_name s)
-
 let schedule_of_sexp = function
   | Atom "Sequential" -> Sequential
   | Atom "CPU_Multicore" -> Cpu_multicore
@@ -183,12 +341,16 @@ let schedule_of_sexp = function
   | Atom "MPI" -> Mpi
   | s -> parse_error "bad schedule %s" (sexp_to_string s)
 
-let wcr_to_sexp = function
-  | Wcr_sum -> Atom "Sum"
-  | Wcr_prod -> Atom "Prod"
-  | Wcr_min -> Atom "Min"
-  | Wcr_max -> Atom "Max"
-  | Wcr_custom e -> List [ Atom "Custom"; Str (Tasklang.Emit.expr_to_c e) ]
+let put_wcr b = function
+  | Wcr_sum -> put b "Sum"
+  | Wcr_prod -> put b "Prod"
+  | Wcr_min -> put b "Min"
+  | Wcr_max -> put b "Max"
+  | Wcr_custom e ->
+    form b "Custom";
+    sp b;
+    put_str b (Tasklang.Emit.expr_to_c e);
+    close b
 
 let wcr_of_sexp = function
   | Atom "Sum" -> Wcr_sum
@@ -196,38 +358,55 @@ let wcr_of_sexp = function
   | Atom "Min" -> Wcr_min
   | Atom "Max" -> Wcr_max
   | List [ Atom "Custom"; Str src ] ->
-    Wcr_custom (Tasklang.Parse.expression src)
+    Wcr_custom (tasklang "wcr" Tasklang.Parse.expression src)
   | s -> parse_error "bad wcr %s" (sexp_to_string s)
 
-let value_to_sexp (v : Tasklang.Types.value) =
+let put_value b (v : Tasklang.Types.value) =
   match v with
-  | Tasklang.Types.F x -> List [ Atom "f"; Atom (Fmt.str "%h" x) ]
-  | Tasklang.Types.I n -> List [ Atom "i"; Atom (string_of_int n) ]
-  | Tasklang.Types.B b -> List [ Atom "b"; Atom (string_of_bool b) ]
+  | Tasklang.Types.F x -> put_app b "f" put [ Printf.sprintf "%h" x ]
+  | Tasklang.Types.I n -> put_app b "i" put_int [ n ]
+  | Tasklang.Types.B v -> put_app b "b" put_bool [ v ]
 
 let value_of_sexp = function
-  | List [ Atom "f"; Atom x ] -> Tasklang.Types.F (float_of_string x)
-  | List [ Atom "i"; Atom n ] -> Tasklang.Types.I (int_of_string n)
-  | List [ Atom "b"; Atom b ] -> Tasklang.Types.B (bool_of_string b)
+  | List [ Atom "f"; Atom x ] -> Tasklang.Types.F (float_of_atom x)
+  | List [ Atom "i"; Atom n ] ->
+    Tasklang.Types.I (int_of_atom "integer value" n)
+  | List [ Atom "b"; Atom b ] -> Tasklang.Types.B (bool_of_atom "bool value" b)
   | s -> parse_error "bad value %s" (sexp_to_string s)
 
-let conn_to_sexp (c : conn) =
-  List [ Atom c.k_name; dtype_to_atom c.k_dtype; Atom (string_of_int c.k_rank) ]
+let put_conn b (c : conn) =
+  Buffer.add_char b '(';
+  put b c.k_name;
+  sp b;
+  put b (Tasklang.Types.dtype_name c.k_dtype);
+  sp b;
+  put_int b c.k_rank;
+  close b
 
 let conn_of_sexp = function
   | List [ Atom name; dt; Atom rank ] ->
-    { k_name = name; k_dtype = dtype_of_sexp dt; k_rank = int_of_string rank }
+    { k_name = name; k_dtype = dtype_of_sexp dt;
+      k_rank = int_of_atom "connector rank" rank }
   | s -> parse_error "bad connector %s" (sexp_to_string s)
 
-let memlet_to_sexp (m : memlet) =
-  List
-    ([ Atom "memlet"; Atom m.m_data; subset_to_sexp m.m_subset;
-       expr_to_sexp m.m_accesses; Atom (string_of_bool m.m_dynamic) ]
-    @ (match m.m_other with
-      | None -> [ Atom "_" ]
-      | Some o -> [ subset_to_sexp o ])
-    @ match m.m_wcr with None -> [] | Some w -> [ wcr_to_sexp w ])
-
+let put_memlet b (m : memlet) =
+  form b "memlet";
+  sp b;
+  put b m.m_data;
+  sp b;
+  put_subset b m.m_subset;
+  sp b;
+  put_expr b m.m_accesses;
+  sp b;
+  put_bool b m.m_dynamic;
+  sp b;
+  (match m.m_other with None -> put b "_" | Some o -> put_subset b o);
+  (match m.m_wcr with
+  | None -> ()
+  | Some w ->
+    sp b;
+    put_wcr b w);
+  close b
 let memlet_of_sexp = function
   | List (Atom "memlet" :: Atom data :: subset :: accesses :: Atom dyn :: rest)
     ->
@@ -244,25 +423,23 @@ let memlet_of_sexp = function
       m_other = other;
       m_wcr = wcr;
       m_accesses = expr_of_sexp accesses;
-      m_dynamic = bool_of_string dyn }
+      m_dynamic = bool_of_atom "memlet dynamic flag" dyn }
   | s -> parse_error "bad memlet %s" (sexp_to_string s)
 
 (* --- conditions ----------------------------------------------------------------- *)
 
-let rec bexp_to_sexp = function
-  | Btrue -> Atom "true"
-  | Bfalse -> Atom "false"
-  | Bnot b -> List [ Atom "not"; bexp_to_sexp b ]
-  | Band (a, b) -> List [ Atom "and"; bexp_to_sexp a; bexp_to_sexp b ]
-  | Bor (a, b) -> List [ Atom "or"; bexp_to_sexp a; bexp_to_sexp b ]
-  | Bcmp (op, a, b) ->
-    let o =
-      match op with
+let rec put_bexp b = function
+  | Btrue -> put b "true"
+  | Bfalse -> put b "false"
+  | Bnot x -> put_app b "not" put_bexp [ x ]
+  | Band (x, y) -> put_app b "and" put_bexp [ x; y ]
+  | Bor (x, y) -> put_app b "or" put_bexp [ x; y ]
+  | Bcmp (op, x, y) ->
+    put_app b
+      (match op with
       | Ceq -> "==" | Cne -> "!=" | Clt -> "<" | Cle -> "<=" | Cgt -> ">"
-      | Cge -> ">="
-    in
-    List [ Atom o; expr_to_sexp a; expr_to_sexp b ]
-
+      | Cge -> ">=")
+      put_expr [ x; y ]
 let rec bexp_of_sexp = function
   | Atom "true" -> Btrue
   | Atom "false" -> Bfalse
@@ -279,73 +456,213 @@ let rec bexp_of_sexp = function
     Bcmp (o, expr_of_sexp a, expr_of_sexp b)
   | s -> parse_error "bad condition %s" (sexp_to_string s)
 
-(* --- nodes ------------------------------------------------------------------------ *)
+(* --- printing nodes, states and the SDFG --------------------------------- *)
 
-(* optional trailing [instrument] marker on tasklet / map_entry / state
-   forms; absent in files written before the instrumentation layer *)
+(* optional trailing [instrument] marker on tasklet / map_entry /
+   consume_entry / state forms; absent in files written before the
+   instrumentation layer *)
 let instrument_of_tail = function
   | [] -> false
   | [ Atom "instrument" ] -> true
   | s :: _ -> parse_error "bad trailing field %s" (sexp_to_string s)
 
-let rec node_to_sexp (n : node) : sexp =
+let rec put_node b (n : node) =
   match n with
-  | Access d -> List [ Atom "access"; Atom d ]
+  | Access d -> put_app b "access" put [ d ]
   | Tasklet t ->
-    List
-      ([ Atom "tasklet"; Str t.t_name;
-         List (List.map conn_to_sexp t.t_inputs);
-         List (List.map conn_to_sexp t.t_outputs);
-         (match t.t_code with
-         | Code code -> List [ Atom "code"; Str (Tasklang.Ast.to_string code) ]
-         | External { language; code } ->
-           List [ Atom "external"; Str language; Str code ]) ]
-      (* trailing marker keeps pre-instrumentation files parseable *)
-      @ if t.t_instrument then [ Atom "instrument" ] else [])
+    form b "tasklet";
+    sp b;
+    put_str b t.t_name;
+    sp b;
+    put_list b put_conn t.t_inputs;
+    sp b;
+    put_list b put_conn t.t_outputs;
+    sp b;
+    (match t.t_code with
+    | Code code -> put_app b "code" put_str [ Tasklang.Ast.to_string code ]
+    | External { language; code } ->
+      put_app b "external" put_str [ language; code ]);
+    put_instrument b t.t_instrument;
+    close b
   | Map_entry m ->
-    List
-      ([ Atom "map_entry";
-         List (List.map (fun p -> Atom p) m.mp_params);
-         List (List.map range_to_sexp m.mp_ranges);
-         schedule_to_atom m.mp_schedule;
-         Atom (string_of_bool m.mp_unroll) ]
-      @ if m.mp_instrument then [ Atom "instrument" ] else [])
-  | Map_exit -> Atom "map_exit"
+    form b "map_entry";
+    sp b;
+    put_list b put m.mp_params;
+    sp b;
+    put_list b put_range m.mp_ranges;
+    sp b;
+    put b (schedule_name m.mp_schedule);
+    sp b;
+    put_bool b m.mp_unroll;
+    put_instrument b m.mp_instrument;
+    close b
+  | Map_exit -> put b "map_exit"
   | Consume_entry c ->
-    List
-      ([ Atom "consume_entry"; Atom c.cs_pe_param; expr_to_sexp c.cs_num_pes;
-         Atom c.cs_stream; schedule_to_atom c.cs_schedule ]
-      @ if c.cs_instrument then [ Atom "instrument" ] else [])
-  | Consume_exit -> Atom "consume_exit"
+    form b "consume_entry";
+    sp b;
+    put b c.cs_pe_param;
+    sp b;
+    put_expr b c.cs_num_pes;
+    sp b;
+    put b c.cs_stream;
+    sp b;
+    put b (schedule_name c.cs_schedule);
+    put_instrument b c.cs_instrument;
+    close b
+  | Consume_exit -> put b "consume_exit"
   | Reduce r ->
-    List
-      ([ Atom "reduce"; wcr_to_sexp r.r_wcr ]
-      @ (match r.r_axes with
-        | None -> [ Atom "_" ]
-        | Some axes ->
-          [ List (List.map (fun a -> Atom (string_of_int a)) axes) ])
-      @
-      match r.r_identity with
-      | None -> []
-      | Some v -> [ value_to_sexp v ])
+    form b "reduce";
+    sp b;
+    put_wcr b r.r_wcr;
+    sp b;
+    (match r.r_axes with
+    | None -> put b "_"
+    | Some axes -> put_list b put_int axes);
+    (match r.r_identity with
+    | None -> ()
+    | Some v ->
+      sp b;
+      put_value b v);
+    close b
   | Nested_sdfg nest ->
-    List
-      [ Atom "nested"; sdfg_to_sexp nest.n_sdfg;
-        List (List.map (fun s -> Atom s) nest.n_inputs);
-        List (List.map (fun s -> Atom s) nest.n_outputs);
-        List
-          (List.map
-             (fun (s, e) -> List [ Atom s; expr_to_sexp e ])
-             nest.n_symbol_map) ]
+    form b "nested";
+    sp b;
+    put_sdfg b None nest.n_sdfg;
+    sp b;
+    put_list b put nest.n_inputs;
+    sp b;
+    put_list b put nest.n_outputs;
+    sp b;
+    put_list b put_binding nest.n_symbol_map;
+    close b
 
-and node_of_sexp (s : sexp) : node =
+(* "(name expr)": nested symbol maps and interstate assignments *)
+and put_binding b (name, e) =
+  Buffer.add_char b '(';
+  put b name;
+  sp b;
+  put_expr b e;
+  close b
+
+(* [depth]: [Some d] lays the form out, its own line at indent level
+   [d]; [None] prints it flat (a nested SDFG inside its node's line). *)
+and put_state b depth (st : state) =
+  let inner = deeper depth in
+  form b "state";
+  sp b;
+  put_int b st.st_id;
+  sp b;
+  put_str b st.st_label;
+  item_break b inner;
+  put_block b (deeper inner) "nodes"
+    (fun b (nid, n) ->
+      Buffer.add_char b '(';
+      put_int b nid;
+      sp b;
+      put_node b n;
+      close b)
+    (State.nodes st);
+  item_break b inner;
+  put_block b (deeper inner) "edges"
+    (fun b (e : edge) ->
+      let conn = function None -> put b "_" | Some c -> put_str b c in
+      Buffer.add_char b '(';
+      put_int b e.e_src;
+      sp b;
+      conn e.e_src_conn;
+      sp b;
+      put_int b e.e_dst;
+      sp b;
+      conn e.e_dst_conn;
+      sp b;
+      (match e.e_memlet with None -> put b "_" | Some m -> put_memlet b m);
+      close b)
+    (State.edges st);
+  item_break b inner;
+  put_block b (deeper inner) "scopes"
+    (fun b (en, ex) -> put_list b put_int [ en; ex ])
+    (List.sort compare
+       (Hashtbl.fold (fun en ex acc -> (en, ex) :: acc) st.st_scope_exit []));
+  put_instrument b st.st_instrument;
+  close b
+
+and put_sdfg b depth (g : sdfg) =
+  let inner = deeper depth in
+  form b "sdfg";
+  sp b;
+  put_str b (Sdfg.name g);
+  item_break b inner;
+  put_app b "symbols" put (Sdfg.symbols g);
+  item_break b inner;
+  put_block b (deeper inner) "containers"
+    (fun b (name, d) ->
+      match d with
+      | Array a ->
+        form b "array";
+        sp b;
+        put b name;
+        sp b;
+        put_list b put_expr a.a_shape;
+        sp b;
+        put b (Tasklang.Types.dtype_name a.a_dtype);
+        sp b;
+        put_bool b a.a_transient;
+        sp b;
+        put b (storage_name a.a_storage);
+        close b
+      | Stream s ->
+        form b "stream";
+        sp b;
+        put b name;
+        sp b;
+        put_list b put_expr s.s_shape;
+        sp b;
+        put b (Tasklang.Types.dtype_name s.s_dtype);
+        sp b;
+        put_expr b s.s_buffer;
+        sp b;
+        put_bool b s.s_transient;
+        sp b;
+        put b (storage_name s.s_storage);
+        close b)
+    (Sdfg.descs g);
+  item_break b inner;
+  put_block b (deeper inner) "states"
+    (fun b st -> put_state b (deeper inner) st)
+    (Sdfg.states g);
+  item_break b inner;
+  put_block b (deeper inner) "transitions"
+    (fun b (t : istate_edge) ->
+      Buffer.add_char b '(';
+      put_int b t.is_src;
+      sp b;
+      put_int b t.is_dst;
+      sp b;
+      put_bexp b t.is_cond;
+      sp b;
+      put_list b put_binding t.is_assign;
+      close b)
+    (Sdfg.transitions g);
+  item_break b inner;
+  put_app b "start" put_int [ State.id (Sdfg.start_state g) ];
+  close b
+
+(* --- reading nodes, states and the SDFG ---------------------------------- *)
+
+(* a duplicate container name is malformed text, not a graph-building
+   error *)
+let add_desc g name d =
+  try Sdfg.add_desc g name d with Invalid_sdfg m -> parse_error "%s" m
+
+let rec node_of_sexp (s : sexp) : node =
   match s with
   | List [ Atom "access"; Atom d ] -> Access d
   | List (Atom "tasklet" :: Str name :: List ins :: List outs :: code :: rest)
     ->
     let t_code =
       match code with
-      | List [ Atom "code"; Str src ] -> Code (Tasklang.Parse.program src)
+      | List [ Atom "code"; Str src ] ->
+        Code (tasklang "tasklet code" Tasklang.Parse.program src)
       | List [ Atom "external"; Str language; Str code ] ->
         External { language; code }
       | s -> parse_error "bad tasklet code %s" (sexp_to_string s)
@@ -366,7 +683,7 @@ and node_of_sexp (s : sexp) : node =
             params;
         mp_ranges = List.map range_of_sexp ranges;
         mp_schedule = schedule_of_sexp sched;
-        mp_unroll = bool_of_string unroll;
+        mp_unroll = bool_of_atom "map unroll flag" unroll;
         mp_instrument = instrument_of_tail rest }
   | Atom "map_exit" -> Map_exit
   | List (Atom "consume_entry" :: Atom pe :: num :: Atom stream :: sched :: rest)
@@ -377,26 +694,21 @@ and node_of_sexp (s : sexp) : node =
         cs_instrument = instrument_of_tail rest }
   | Atom "consume_exit" -> Consume_exit
   | List (Atom "reduce" :: wcr :: rest) ->
+    let axes_of = function
+      | Atom "_" -> None
+      | List axes ->
+        Some
+          (List.map
+             (function
+               | Atom a -> int_of_atom "axis" a
+               | s -> parse_error "bad axis %s" (sexp_to_string s))
+             axes)
+      | s -> parse_error "bad reduce axes %s" (sexp_to_string s)
+    in
     let axes, identity =
       match rest with
-      | [ Atom "_" ] -> (None, None)
-      | [ Atom "_"; v ] -> (None, Some (value_of_sexp v))
-      | [ List axes ] ->
-        ( Some
-            (List.map
-               (function
-                 | Atom a -> int_of_string a
-                 | s -> parse_error "bad axis %s" (sexp_to_string s))
-               axes),
-          None )
-      | [ List axes; v ] ->
-        ( Some
-            (List.map
-               (function
-                 | Atom a -> int_of_string a
-                 | s -> parse_error "bad axis %s" (sexp_to_string s))
-               axes),
-          Some (value_of_sexp v) )
+      | [ axes ] -> (axes_of axes, None)
+      | [ axes; v ] -> (axes_of axes, Some (value_of_sexp v))
       | _ -> parse_error "bad reduce tail"
     in
     Reduce { r_wcr = wcr_of_sexp wcr; r_axes = axes; r_identity = identity }
@@ -419,53 +731,29 @@ and node_of_sexp (s : sexp) : node =
             syms }
   | s -> parse_error "bad node %s" (sexp_to_string s)
 
-(* --- states and the SDFG -------------------------------------------------------------- *)
-
-and state_to_sexp (st : state) : sexp =
-  let nodes =
-    State.nodes st
-    |> List.map (fun (nid, n) ->
-           List [ Atom (string_of_int nid); node_to_sexp n ])
-  in
-  let edges =
-    State.edges st
-    |> List.map (fun (e : edge) ->
-           let conn = function None -> Atom "_" | Some c -> Str c in
-           List
-             [ Atom (string_of_int e.e_src); conn e.e_src_conn;
-               Atom (string_of_int e.e_dst); conn e.e_dst_conn;
-               (match e.e_memlet with
-               | None -> Atom "_"
-               | Some m -> memlet_to_sexp m) ])
-  in
-  let scopes =
-    Hashtbl.fold
-      (fun en ex acc ->
-        List [ Atom (string_of_int en); Atom (string_of_int ex) ] :: acc)
-      st.st_scope_exit []
-  in
-  List
-    ([ Atom "state"; Atom (string_of_int st.st_id); Str st.st_label;
-       List (Atom "nodes" :: nodes);
-       List (Atom "edges" :: edges);
-       List (Atom "scopes" :: scopes) ]
-    @ if st.st_instrument then [ Atom "instrument" ] else [])
-
 and state_of_sexp g (s : sexp) : int * int =
   match s with
   | List
       (Atom "state" :: Atom sid :: Str label :: List (Atom "nodes" :: nodes)
       :: List (Atom "edges" :: edges) :: List (Atom "scopes" :: scopes)
       :: rest) ->
+    let sid = int_of_atom "state id" sid in
     let st = Sdfg.add_state g ~label () in
     st.st_instrument <- instrument_of_tail rest;
     let remap = Hashtbl.create 16 in
+    let node a =
+      match Hashtbl.find_opt remap (int_of_atom "node id" a) with
+      | Some nid -> nid
+      | None -> parse_error "state %d: unknown node %s" sid a
+    in
     List.iter
       (fun ns ->
         match ns with
-        | List [ Atom nid; n ] ->
-          Hashtbl.replace remap (int_of_string nid)
-            (State.add_node st (node_of_sexp n))
+        | List [ Atom a; n ] ->
+          let nid = int_of_atom "node id" a in
+          if Hashtbl.mem remap nid then
+            parse_error "state %d: duplicate node id %d" sid nid;
+          Hashtbl.add remap nid (State.add_node st (node_of_sexp n))
         | s -> parse_error "bad node entry %s" (sexp_to_string s))
       nodes;
     List.iter
@@ -482,62 +770,18 @@ and state_of_sexp g (s : sexp) : int * int =
           in
           ignore
             (State.add_edge st ?src_conn:(conn sconn) ?dst_conn:(conn dconn)
-               ?memlet
-               ~src:(Hashtbl.find remap (int_of_string src))
-               ~dst:(Hashtbl.find remap (int_of_string dst))
-               ())
+               ?memlet ~src:(node src) ~dst:(node dst) ())
         | s -> parse_error "bad edge entry %s" (sexp_to_string s))
       edges;
     List.iter
       (fun sc ->
         match sc with
         | List [ Atom en; Atom ex ] ->
-          State.set_scope st
-            ~entry:(Hashtbl.find remap (int_of_string en))
-            ~exit_:(Hashtbl.find remap (int_of_string ex))
+          State.set_scope st ~entry:(node en) ~exit_:(node ex)
         | s -> parse_error "bad scope entry %s" (sexp_to_string s))
       scopes;
-    (int_of_string sid, State.id st)
+    (sid, State.id st)
   | s -> parse_error "bad state %s" (sexp_to_string s)
-
-and sdfg_to_sexp (g : sdfg) : sexp =
-  let descs =
-    Sdfg.descs g
-    |> List.map (fun (name, d) ->
-           match d with
-           | Array a ->
-             List
-               [ Atom "array"; Atom name;
-                 List (List.map expr_to_sexp a.a_shape);
-                 dtype_to_atom a.a_dtype;
-                 Atom (string_of_bool a.a_transient);
-                 storage_to_atom a.a_storage ]
-           | Stream s ->
-             List
-               [ Atom "stream"; Atom name;
-                 List (List.map expr_to_sexp s.s_shape);
-                 dtype_to_atom s.s_dtype; expr_to_sexp s.s_buffer;
-                 Atom (string_of_bool s.s_transient);
-                 storage_to_atom s.s_storage ])
-  in
-  let transitions =
-    Sdfg.transitions g
-    |> List.map (fun (t : istate_edge) ->
-           List
-             [ Atom (string_of_int t.is_src); Atom (string_of_int t.is_dst);
-               bexp_to_sexp t.is_cond;
-               List
-                 (List.map
-                    (fun (s, e) -> List [ Atom s; expr_to_sexp e ])
-                    t.is_assign) ])
-  in
-  List
-    [ Atom "sdfg"; Str (Sdfg.name g);
-      List (Atom "symbols" :: List.map (fun s -> Atom s) (Sdfg.symbols g));
-      List (Atom "containers" :: descs);
-      List (Atom "states" :: List.map state_to_sexp (Sdfg.states g));
-      List (Atom "transitions" :: transitions);
-      List [ Atom "start"; Atom (string_of_int (State.id (Sdfg.start_state g))) ] ]
 
 and sdfg_of_sexp (s : sexp) : sdfg =
   match s with
@@ -563,38 +807,44 @@ and sdfg_of_sexp (s : sexp) : sdfg =
         | List
             [ Atom "array"; Atom dn; List shape; dt; Atom transient; storage ]
           ->
-          Sdfg.add_desc g dn
+          add_desc g dn
             (Array
                { a_shape = List.map expr_of_sexp shape;
                  a_dtype = dtype_of_sexp dt;
-                 a_transient = bool_of_string transient;
+                 a_transient = bool_of_atom "transient flag" transient;
                  a_storage = storage_of_sexp storage })
         | List
             [ Atom "stream"; Atom dn; List shape; dt; buffer; Atom transient;
               storage ] ->
-          Sdfg.add_desc g dn
+          add_desc g dn
             (Stream
                { s_shape = List.map expr_of_sexp shape;
                  s_dtype = dtype_of_sexp dt;
                  s_buffer = expr_of_sexp buffer;
-                 s_transient = bool_of_string transient;
+                 s_transient = bool_of_atom "transient flag" transient;
                  s_storage = storage_of_sexp storage })
         | s -> parse_error "bad container %s" (sexp_to_string s))
       descs;
     (* state ids may have gaps after transformations; remap them *)
-    let smap = List.map (state_of_sexp g) states in
-    let rid old =
-      match List.assoc_opt old smap with
+    let smap = Hashtbl.create 16 in
+    List.iter
+      (fun s ->
+        let old, nid = state_of_sexp g s in
+        if Hashtbl.mem smap old then parse_error "duplicate state id %d" old;
+        Hashtbl.add smap old nid)
+      states;
+    let rid a =
+      match Hashtbl.find_opt smap (int_of_atom "state id" a) with
       | Some nid -> nid
-      | None -> parse_error "transition references unknown state %d" old
+      | None -> parse_error "reference to unknown state %s" a
     in
     List.iter
       (fun t ->
         match t with
         | List [ Atom src; Atom dst; cond; List assigns ] ->
           ignore
-            (Sdfg.add_transition g ~src:(rid (int_of_string src))
-               ~dst:(rid (int_of_string dst)) ~cond:(bexp_of_sexp cond)
+            (Sdfg.add_transition g ~src:(rid src) ~dst:(rid dst)
+               ~cond:(bexp_of_sexp cond)
                ~assign:
                  (List.map
                     (function
@@ -604,15 +854,25 @@ and sdfg_of_sexp (s : sexp) : sdfg =
                ())
         | s -> parse_error "bad transition %s" (sexp_to_string s))
       transitions;
-    Sdfg.set_start g (rid (int_of_string start));
+    Sdfg.set_start g (rid start);
     g
   | s -> parse_error "bad sdfg %s" (sexp_to_string s)
 
 (* --- public API ------------------------------------------------------------------------ *)
 
-let to_string (g : sdfg) : string = sexp_to_string (sdfg_to_sexp g)
+let to_string (g : sdfg) : string =
+  let b = Buffer.create 4096 in
+  put_sdfg b (Some 0) g;
+  Buffer.contents b
 
 let of_string (src : string) : sdfg = sdfg_of_sexp (parse_sexp src)
+
+let expr_to_string e =
+  let b = Buffer.create 32 in
+  put_expr b e;
+  Buffer.contents b
+
+let expr_of_string src = expr_of_sexp (parse_sexp src)
 
 let save (g : sdfg) path =
   let oc = open_out path in
@@ -626,4 +886,3 @@ let load path : sdfg =
     ~finally:(fun () -> close_in ic)
     (fun () -> of_string (really_input_string ic (in_channel_length ic)))
 
-let hash (g : sdfg) : string = Digest.to_hex (Digest.string (to_string g))

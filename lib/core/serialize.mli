@@ -7,30 +7,31 @@
     with conditions and assignments, declared symbols, and nested SDFGs.
     Tasklet code embeds as source text and re-parses through the tasklet
     parser; state identifiers are remapped on load (transformations can
-    leave gaps). *)
+    leave gaps).
+
+    {!to_string} is the canonical text of a graph: a fixed layout (one
+    container, state, node, edge, scope pair or transition per line,
+    indented by nesting depth, everything inside those forms flat) that
+    depends only on the graph, so [to_string (of_string (to_string g))]
+    equals [to_string g].  The reader accepts any whitespace between
+    tokens, so files in older layouts still load. *)
 
 exception Parse_error of string
 
-type sexp = Atom of string | Str of string | List of sexp list
+val expr_to_string : Symbolic.Expr.t -> string
+(** A symbolic expression in the prefix form {!to_string} embeds. *)
 
-val parse_sexp : string -> sexp
-val sexp_to_string : sexp -> string
-
-val expr_to_sexp : Symbolic.Expr.t -> sexp
-val expr_of_sexp : sexp -> Symbolic.Expr.t
+val expr_of_string : string -> Symbolic.Expr.t
+(** @raise Parse_error on malformed input. *)
 
 val to_string : Defs.sdfg -> string
 val of_string : string -> Defs.sdfg
-(** @raise Parse_error on malformed input. *)
+(** @raise Parse_error on any malformed input, and nothing else: bad
+    syntax, unknown forms, non-integer ids or ranks, bad bools or floats,
+    malformed tasklet code, references to unknown nodes or states,
+    duplicate node, state or container names. *)
 
 val save : Defs.sdfg -> string -> unit
 (** Write to a file path. *)
 
 val load : string -> Defs.sdfg
-
-val hash : Defs.sdfg -> string
-(** Content hash (hex) over the canonical serialized form
-    ({!to_string}): two graphs hash equal iff they serialize
-    identically, so the hash is stable under print∘parse round-trips and
-    under {!Sdfg.clone}.  The plan-cache key of the serving layer, and a
-    generally useful identity for memoizing per-graph work. *)

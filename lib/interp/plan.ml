@@ -566,6 +566,9 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   let n_acc = Array.length acc_shared in
   let acc_names = Array.of_list (List.map fst accumulate) in
   let priv_names = Array.of_list privatize in
+  (* every privatized name must bind now: worker replicas are compiled
+     later, at the first fork, where a [Fallback] could not be honored *)
+  Array.iter (fun name -> ignore (tens name)) priv_names;
   (* [solo]: a replica that shares the run's containers outright — no
      private accumulators, no privatized transients — so running it over
      the full range is bit-identical to the sequential plan.  The
@@ -687,29 +690,27 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
     | Reference.Predictive _ -> true
     | Reference.Fixed _ -> false
   in
-  let replicas =
-    if d > 1 then Array.init d (make_replica ~solo:false) else [||]
+  let shares_containers = n_acc = 0 && Array.length priv_names = 0 in
+  (* Only the one-domain replica compiles at plan time.  It runs the
+     predictive policy's sequential invocations, and its coverage and
+     kernel kind stand for the map's (each replica compiles the same
+     body).  The [d] worker replicas compile the first time an
+     invocation forks, on the calling (main) domain before [Pool.run]:
+     a map that never forks never pays for them.  For disjoint-write
+     maps the solo replica already shares the run's containers and
+     doubles as worker 0. *)
+  let solo = make_replica ~solo:true 0 in
+  let replicas = ref [||] in
+  let forked_replicas () =
+    if Array.length !replicas = 0 then
+      replicas :=
+        Array.init d (fun w ->
+            if w = 0 && shares_containers then solo
+            else make_replica ~solo:false w);
+    !replicas
   in
-  (* The predictive policy needs a one-domain runner with sequential
-     semantics.  For disjoint-write maps replica 0 already shares the
-     run's containers, so reuse it; accumulating/privatizing maps get a
-     dedicated solo replica bound to the shared tensors. *)
-  let solo =
-    if not predictive then None
-    else if d > 1 && n_acc = 0 && Array.length priv_names = 0 then
-      Some replicas.(0)
-    else Some (make_replica ~solo:true 0)
-  in
-  (* body nodes were compiled once per replica on replica collectors;
-     report one replica's coverage so totals equal the sequential plan.
-     (A solo replica aliasing replica 0 must not be merged twice.) *)
-  let coverage_replica =
-    if d > 1 then replicas.(0)
-    else match solo with Some s -> s | None -> assert false
-  in
-  Obs.Collect.merge_coverage env.Reference.collector
-    coverage_replica.rp_collector;
-  let kind = coverage_replica.rp_kind in
+  Obs.Collect.merge_coverage env.Reference.collector solo.rp_collector;
+  let kind = solo.rp_kind in
   let md =
     Reference.register_decision env.Reference.par ~state:ctx.st.st_label
       ~node:entry
@@ -801,17 +802,18 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
       md.Reference.md_trips <- trips;
       md.Reference.md_domains <- workers;
       md.Reference.md_invocations <- md.Reference.md_invocations + 1;
-      match solo with
-      | Some s when workers <= 1 ->
+      if predictive && workers <= 1 then begin
         (* sequential by prediction: the solo replica runs the whole
            range against the shared containers — bit-identical to (and
            as fast as) the sequential plan, no fork, no merge *)
-        refresh s;
-        s.rp_run lo hi step;
-        drain_stats s.rp_stats;
+        refresh solo;
+        solo.rp_run lo hi step;
+        drain_stats solo.rp_stats;
         if Obs.Collect.timing_on collector then
-          Obs.Collect.absorb collector s.rp_collector
-      | _ ->
+          Obs.Collect.absorb collector solo.rp_collector
+      end
+      else begin
+        let replicas = forked_replicas () in
         par.Reference.par_maps <- par.Reference.par_maps + 1;
         for w = 0 to workers - 1 do
           refresh replicas.(w)
@@ -909,6 +911,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
             done
           done
         done
+      end
     end
 
 (* A tasklet compiles when its code is Tasklang, every connected memlet

@@ -52,7 +52,8 @@ type work =
 type job = {
   jb_id : int;
   jb_key : string;
-  jb_text : string option;  (* canonical serialized graph; None = Prog_key *)
+  jb_program : (string * Defs.sdfg) option;
+      (* canonical text and the graph it was printed from; None = Prog_key *)
   jb_symbols : (string * int) list;
   jb_config : Exec.Config.t;
   jb_work : work;
@@ -96,8 +97,9 @@ let exn_message = function
   | Failure msg -> msg
   | exn -> Printexc.to_string exn
 
-(* Look the job's key up in the plan cache; on a miss, parse + validate
-   + instantiate from the job's canonical text and publish the instance.
+(* Look the job's key up in the plan cache; on a miss, validate and
+   instantiate the job's graph (parsed once, on the connection thread)
+   and publish the instance under its canonical text.
    [Cache.add] returns the winning instance, so a lost insertion race
    still leaves every caller sharing one instance (whose internal lock
    serializes runs). *)
@@ -105,15 +107,14 @@ let resolve srv job =
   match Cache.find srv.srv_cache job.jb_key with
   | Some inst -> Ok (inst, true)
   | None -> (
-    match job.jb_text with
+    match job.jb_program with
     | None ->
       Error
         (Fmt.str
            "unknown cache key %s (evicted or never seen: resend the program)"
            job.jb_key)
-    | Some text -> (
+    | Some (text, g) -> (
       try
-        let g = Serialize.of_string text in
         match Sdfg_ir.Validate.validate g with
         | Error errs ->
           Error
@@ -299,32 +300,34 @@ let rec exec_loop srv =
 
 (* --- connections --------------------------------------------------------- *)
 
-(* Resolve the request's program to (cache key, canonical text).  Runs
-   on the connection thread: parsing and re-serialization are cheap next
-   to planning and keep malformed programs out of the executor.  Keying
-   on the canonical form means cosmetic differences in the submitted
-   text (whitespace, ordering the serializer normalizes) cannot split
-   the cache. *)
+(* Resolve the request's program to its cache key plus its canonical
+   text and graph.  Runs on the connection thread: parsing and
+   re-serialization are cheap next to planning and keep malformed
+   programs out of the executor, which builds a miss's instance from the
+   graph parsed here.  Keying on the canonical form means cosmetic
+   differences in the submitted text (whitespace, ordering the
+   serializer normalizes) cannot split the cache. *)
 let program_key srv ~(program : Protocol.program) ~symbols ~config =
-  let key_of text =
-    (Protocol.cache_key ~sdfg_text:text ~symbols ~config, Some text)
+  let key_of g =
+    let text = Serialize.to_string g in
+    (Protocol.cache_key ~sdfg_text:text ~symbols ~config, Some (text, g))
   in
   match program with
   | Protocol.Prog_key k -> Ok (k, None)
   | Protocol.Prog_sdfg text -> (
-    try Ok (key_of (Serialize.to_string (Serialize.of_string text)))
+    try Ok (key_of (Serialize.of_string text))
     with exn -> Error (Fmt.str "parse error: %s" (exn_message exn)))
   | Protocol.Prog_ndlang src -> (
     (* Elaborate, then key on the canonical serialized form: the same
        query resubmitted as text, combinators or .sdfg shares one cache
        entry. *)
-    try Ok (key_of (Serialize.to_string (Builder.Ndlang.parse src)))
+    try Ok (key_of (Builder.Ndlang.parse src))
     with exn -> Error (Fmt.str "ndlang error: %s" (exn_message exn)))
   | Protocol.Prog_name name -> (
     match List.assoc_opt name srv.srv_programs with
     | None -> Error (Fmt.str "unknown program %S" name)
     | Some build -> (
-      try Ok (key_of (Serialize.to_string (build ())))
+      try Ok (key_of (build ()))
       with exn -> Error (exn_message exn)))
 
 (* Admission control shared by run and stream_open. *)
@@ -362,9 +365,10 @@ let submit srv (rq : Protocol.run_request) ~id ~send =
       ~config:rq.rq_config
   with
   | Error err -> send id (Protocol.Resp_error { err; shed = false })
-  | Ok (key, text) ->
+  | Ok (key, program) ->
     let job =
-      { jb_id = id; jb_key = key; jb_text = text; jb_symbols = rq.rq_symbols;
+      { jb_id = id; jb_key = key; jb_program = program;
+        jb_symbols = rq.rq_symbols;
         jb_config = rq.rq_config; jb_work = Wrun rq.rq_args;
         jb_reply = (fun r -> send id r);
         jb_enqueued = Unix.gettimeofday () }
@@ -382,13 +386,14 @@ let submit_stream srv (sq : Protocol.stream_request) ~id ~send =
   | Error err ->
     send id (Protocol.Resp_error { err; shed = false });
     None
-  | Ok (key, text) ->
+  | Ok (key, program) ->
     let session =
       { ss_lock = Mutex.create (); ss_cond = Condition.create ();
         ss_chunks = Queue.create (); ss_closed = false; ss_finished = false }
     in
     let job =
-      { jb_id = id; jb_key = key; jb_text = text; jb_symbols = sq.sq_symbols;
+      { jb_id = id; jb_key = key; jb_program = program;
+        jb_symbols = sq.sq_symbols;
         jb_config = sq.sq_config;
         jb_work =
           Wstream

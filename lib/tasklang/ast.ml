@@ -89,47 +89,54 @@ let binop_name = function
   | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" | Eq -> "==" | Ne -> "!="
   | And -> "and" | Or -> "or"
 
-let rec pp_expr ppf = function
+let add_list ~sep add b xs =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b sep;
+      add b x)
+    xs
+
+let rec add_expr b = function
   | Float_lit x ->
-    if Float.is_integer x && Float.abs x < 1e15 then Fmt.pf ppf "%.1f" x
-    else Fmt.pf ppf "%.17g" x
-  | Int_lit n -> Fmt.int ppf n
-  | Bool_lit b -> Fmt.string ppf (if b then "true" else "false")
-  | Var x -> Fmt.string ppf x
-  | Index (x, es) ->
-    Fmt.pf ppf "%s[%a]" x Fmt.(list ~sep:(any ", ") pp_expr) es
-  | Unop (Neg, Float_lit x) -> pp_expr ppf (Float_lit (-.x))
-  | Unop (Neg, Int_lit n) -> pp_expr ppf (Int_lit (-n))
-  | Unop (Neg, Unop (Neg, e)) -> pp_expr ppf e
-  | Unop (op, e) -> (
-    match op with
-    | Neg -> Fmt.pf ppf "(-%a)" pp_expr e
-    | Not -> Fmt.pf ppf "(not %a)" pp_expr e
-    | _ -> Fmt.pf ppf "%s(%a)" (unop_name op) pp_expr e)
-  | Binop ((Min | Max) as op, a, b) ->
-    Fmt.pf ppf "%s(%a, %a)" (binop_name op) pp_expr a pp_expr b
-  | Binop (op, a, b) ->
-    Fmt.pf ppf "(%a %s %a)" pp_expr a (binop_name op) pp_expr b
+    if Float.is_integer x && Float.abs x < 1e15 then Printf.bprintf b "%.1f" x
+    else Printf.bprintf b "%.17g" x
+  | Int_lit n -> Printf.bprintf b "%d" n
+  | Bool_lit v -> Buffer.add_string b (if v then "true" else "false")
+  | Var x -> Buffer.add_string b x
+  | Index (x, es) -> add_index b x es
+  | Unop (Neg, Float_lit x) -> add_expr b (Float_lit (-.x))
+  | Unop (Neg, Int_lit n) -> add_expr b (Int_lit (-n))
+  | Unop (Neg, Unop (Neg, e)) -> add_expr b e
+  | Unop (Neg, e) -> Printf.bprintf b "(-%a)" add_expr e
+  | Unop (Not, e) -> Printf.bprintf b "(not %a)" add_expr e
+  | Unop (op, e) -> Printf.bprintf b "%s(%a)" (unop_name op) add_expr e
+  | Binop ((Min | Max) as op, x, y) ->
+    Printf.bprintf b "%s(%a, %a)" (binop_name op) add_expr x add_expr y
+  | Binop (op, x, y) ->
+    Printf.bprintf b "(%a %s %a)" add_expr x (binop_name op) add_expr y
   | Cond (c, t, f) ->
-    Fmt.pf ppf "(%a if %a else %a)" pp_expr t pp_expr c pp_expr f
+    Printf.bprintf b "(%a if %a else %a)" add_expr t add_expr c add_expr f
 
-let pp_lhs ppf = function
-  | Lvar x -> Fmt.string ppf x
-  | Lindex (x, es) ->
-    Fmt.pf ppf "%s[%a]" x Fmt.(list ~sep:(any ", ") pp_expr) es
+and add_index b x es =
+  Printf.bprintf b "%s[%a]" x (add_list ~sep:", " add_expr) es
 
-let rec pp_stmt ppf = function
-  | Assign (lhs, e) -> Fmt.pf ppf "%a = %a" pp_lhs lhs pp_expr e
-  | If (c, t, []) ->
-    Fmt.pf ppf "if %a { %a }" pp_expr c
-      Fmt.(list ~sep:(any "; ") pp_stmt) t
+let add_lhs b = function
+  | Lvar x -> Buffer.add_string b x
+  | Lindex (x, es) -> add_index b x es
+
+let rec add_stmt b = function
+  | Assign (lhs, e) -> Printf.bprintf b "%a = %a" add_lhs lhs add_expr e
+  | If (c, t, []) -> Printf.bprintf b "if %a { %a }" add_expr c add_stmts t
   | If (c, t, f) ->
-    Fmt.pf ppf "if %a { %a } else { %a }" pp_expr c
-      Fmt.(list ~sep:(any "; ") pp_stmt) t
-      Fmt.(list ~sep:(any "; ") pp_stmt) f
+    Printf.bprintf b "if %a { %a } else { %a }" add_expr c add_stmts t
+      add_stmts f
   | For (v, lo, hi, body) ->
-    Fmt.pf ppf "for %s in %a:%a { %a }" v pp_expr lo pp_expr hi
-      Fmt.(list ~sep:(any "; ") pp_stmt) body
+    Printf.bprintf b "for %s in %a:%a { %a }" v add_expr lo add_expr hi
+      add_stmts body
 
-let pp ppf (code : t) = Fmt.(list ~sep:(any "; ") pp_stmt) ppf code
-let to_string code = Fmt.str "%a" pp code
+and add_stmts b stmts = add_list ~sep:"; " add_stmt b stmts
+
+let to_string (code : t) =
+  let b = Buffer.create 64 in
+  add_stmts b code;
+  Buffer.contents b

@@ -234,13 +234,134 @@ let test_nonpositive_stride_parallel () =
       (contains "non-positive stride")
   | _ -> Alcotest.fail "expected Runtime_error for stride -1"
 
+(* --- worker replicas built on the first fork ----------------------------- *)
+
+(* A time loop whose two parallel maps grow with the interstate symbol
+   [n] = 4, 64, 1024, 4096: a disjoint-write map and an integer WCR
+   accumulator.  Under the predictive policy the first invocations price
+   below the fork threshold and run on the one-domain replica; the later
+   ones fork, which is when the worker replicas are compiled. *)
+let growing_maps () =
+  let g = Sdfg.create "growing" in
+  let size = E.int 4096 in
+  Sdfg.add_array g "A" ~shape:[ size ] ~dtype:T.F64;
+  Sdfg.add_array g "X" ~shape:[ size ] ~dtype:T.F64;
+  Sdfg.add_array g "B" ~shape:[ size ] ~dtype:T.I64;
+  Sdfg.add_array g "S" ~shape:[ E.one ] ~dtype:T.I64;
+  let init = Sdfg.add_state g ~label:"init" () in
+  let body = Sdfg.add_state g ~label:"body" () in
+  let fin = Sdfg.add_state g ~label:"done" () in
+  let n = E.sym "n" and i = E.sym "i" in
+  let ranges = [ S.range E.zero (E.sub n E.one) ] in
+  ignore
+    (Build.mapped_tasklet g body ~name:"scale" ~schedule:Defs.Cpu_multicore
+       ~params:[ "i" ] ~ranges
+       ~ins:[ Build.in_elem "a" "A" [ i ] ]
+       ~outs:[ Build.out_elem "x" "X" [ i ] ]
+       ~code:(`Src "x = a * 2.0 + 1.0") ());
+  ignore
+    (Build.mapped_tasklet g body ~name:"count" ~schedule:Defs.Cpu_multicore
+       ~params:[ "i" ] ~ranges
+       ~ins:[ Build.in_elem "b" "B" [ i ] ]
+       ~outs:[ Build.out_elem ~wcr:Defs.Wcr_sum "s" "S" [ E.zero ] ]
+       ~code:(`Src "s = b") ());
+  let id = State.id in
+  ignore
+    (Sdfg.add_transition g ~src:(id init) ~dst:(id body)
+       ~assign:[ ("n", E.int 4) ] ());
+  ignore
+    (Sdfg.add_transition g ~src:(id body) ~dst:(id body)
+       ~cond:(Bexp.lt n size)
+       ~assign:[ ("n", E.min_ (E.mul n (E.int 16)) size) ] ());
+  ignore
+    (Sdfg.add_transition g ~src:(id body) ~dst:(id fin)
+       ~cond:(Bexp.ge n size) ());
+  Sdfg.set_start g (id init);
+  Build.finalize g
+
+(* What the engine reported for this graph when it compiled every worker
+   replica at plan time: the kernel kind of each map (scale, count),
+   plan coverage (states, compiled nodes, fallback nodes) and kernel
+   coverage. *)
+let eager_kinds = [ "expr"; "expr" ]
+let eager_coverage = [ 3; 4; 4 ]
+let eager_kernels = [ ("expr", 2) ]
+
+let test_replicas_on_first_fork () =
+  let g = growing_maps () in
+  let args () =
+    let at f ix = f (List.hd ix) in
+    [ ("A", Tensor.init T.F64 [| 4096 |] (at (fun i -> T.F (float_of_int i))));
+      ("X", Tensor.create T.F64 [| 4096 |]);
+      ("B", Tensor.init T.I64 [| 4096 |] (at (fun i -> T.I (i mod 7))));
+      ("S", Tensor.create T.I64 [| 1 |]) ]
+  in
+  let run config =
+    let a = args () in
+    let r = Exec.run g ~config ~symbols:[] ~args:a in
+    (a, r)
+  in
+  let ref_args, _ =
+    run Exec.Config.(default |> with_engine Plan.reference)
+  in
+  (* a calibration that prices 4 cores and a cheap fork, so the fork
+     point (n = 1024 for both kernels) does not depend on the host *)
+  let saved = Machine.Cost.Parallel.calibration () in
+  Machine.Cost.Parallel.set_calibration
+    { Machine.Cost.Parallel.default_calibration with
+      cal_host_domains = 4; cal_fork_s = 1e-7; cal_chunk_s = 1e-9 };
+  Fun.protect
+    ~finally:(fun () -> Machine.Cost.Parallel.set_calibration saved)
+    (fun () ->
+      List.iter
+        (fun cap ->
+          let tag = Fmt.str "cap %d" cap in
+          let a, r =
+            run
+              Exec.Config.(
+                default |> with_engine Plan.compiled
+                |> with_auto_domains ~cap)
+          in
+          check_bits (tag ^ " vs reference") ref_args a;
+          let p = Option.get r.R.r_parallel in
+          let decisions = p.R.par_decisions in
+          let invocations =
+            List.fold_left (fun acc d -> acc + d.R.pm_invocations) 0 decisions
+          in
+          Alcotest.(check int) (tag ^ ": 2 maps x 4 invocations") 8 invocations;
+          Alcotest.(check bool)
+            (Fmt.str "%s: some invocations fork (%d)" tag p.R.par_maps)
+            true
+            (p.R.par_maps >= 2 && p.R.par_maps < invocations);
+          List.iter
+            (fun d ->
+              Alcotest.(check bool) (tag ^ ": last invocation forked") true
+                (d.R.pm_domains > 1))
+            decisions;
+          let kinds =
+            List.sort (fun x y -> compare x.R.pm_node y.R.pm_node) decisions
+            |> List.map (fun d -> d.R.pm_kind)
+          in
+          Alcotest.(check (list string))
+            (tag ^ ": kernel kinds (scale, count)") eager_kinds kinds;
+          let cov = Option.get r.R.r_coverage in
+          Alcotest.(check (list int))
+            (tag ^ ": coverage (states, compiled, fallback)") eager_coverage
+            [ cov.R.cov_states; cov.R.cov_compiled; cov.R.cov_fallback ];
+          Alcotest.(check (list (pair string int)))
+            (tag ^ ": kernel coverage") eager_kernels
+            (List.sort compare cov.R.cov_kernels))
+        [ 2; 4 ])
+
 let suite =
   [ ("zero-trip map at 4 domains no-ops", `Quick, test_zero_trip_parallel);
     ("non-positive stride raises at 4 domains", `Quick,
       test_nonpositive_stride_parallel);
     ("corpus repros: parallel == sequential", `Quick, test_corpus_parallel);
     ("pinned pathologies: policy predicts 1 domain", `Quick,
-      test_policy_pinned_regressions) ]
+      test_policy_pinned_regressions);
+    ("worker replicas built on the first fork", `Quick,
+      test_replicas_on_first_fork) ]
   @ List.map
       (fun c ->
         let name, _, _, _ = c in

@@ -91,8 +91,8 @@ let prop_expr_sexp_roundtrip =
   QCheck2.Test.make ~count:500 ~name:"expression serialization roundtrips"
     gen_expr
     (fun e ->
-      let s = Serialize.sexp_to_string (Serialize.expr_to_sexp e) in
-      E.equal (E.simplify (Serialize.expr_of_sexp (Serialize.parse_sexp s)))
+      let s = Serialize.expr_to_string e in
+      E.equal (E.simplify (Serialize.expr_of_string s))
         (E.simplify e))
 
 (* --- tasklang: evaluation is deterministic and total on generated code --- *)
