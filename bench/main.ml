@@ -22,6 +22,13 @@ let spec = Spec.paper_testbed
 let header title = Fmt.pr "@.==== %s ====@." title
 let row fmt = Fmt.pr fmt
 
+(* Apply [x] to its first candidate, failing with the transformation's
+   message when it does not apply. *)
+let apply_first g x =
+  match Transform.Xform.apply_first g x with
+  | Ok () -> ()
+  | Error m -> failwith m
+
 let geomean xs =
   match xs with
   | [] -> nan
@@ -99,7 +106,7 @@ let fig13b () =
       let hints = k.k_hints k.k_large in
       let gpu_version () =
         let g = k.k_build () in
-        Transform.Xform.apply_first_exn g Transform.Device_xforms.gpu_transform;
+        apply_first g Transform.Device_xforms.gpu_transform;
         g
       in
       let sdfg_t =
@@ -133,7 +140,7 @@ let fig13c () =
   List.iter
     (fun (k : Workloads.Polybench.kernel) ->
       let g = k.k_build () in
-      Transform.Xform.apply_first_exn g Transform.Device_xforms.fpga_transform;
+      apply_first g Transform.Device_xforms.fpga_transform;
       let hints = k.k_hints k.k_large in
       let t =
         (Baselines.evaluate ~spec Baselines.sdfg_fpga ~symbols:k.k_large
@@ -163,10 +170,10 @@ let apply_mm_step g step =
   let apply_in_main x =
     match List.filter in_main (x.X.x_find g) with
     | c :: _ -> X.apply g x c
-    | [] -> X.apply_first_exn g x
+    | [] -> apply_first g x
   in
   match step with
-  | 1 -> X.apply_first_exn g Transform.Fusion_xforms.map_reduce_fusion
+  | 1 -> apply_first g Transform.Fusion_xforms.map_reduce_fusion
   | 2 ->
     (* reorder: expand, interchange, and re-collapse to a single map with
        the new parameter order *)
@@ -284,10 +291,10 @@ let fig14a () =
     (* per-thread privatization (AccumulateTransient) + vectorization, the
        two transformations behind the paper's 8x-over-GCC result *)
     let g = Workloads.Kernels.histogram () in
-    (try Transform.Xform.apply_first_exn g Transform.Data_xforms.accumulate_transient
+    (try apply_first g Transform.Data_xforms.accumulate_transient
      with _ -> ());
     (try
-       Transform.Xform.apply_first_exn g
+       apply_first g
          (Transform.Map_xforms.vectorization_width ~width:8)
      with _ -> ());
     g
@@ -316,9 +323,9 @@ let fig14a () =
     (* LocalStream buffers matches per worker (the paper's streaming
        parallelization); AccumulateTransient privatizes the match count *)
     let g = Workloads.Kernels.query () in
-    (try Transform.Xform.apply_first_exn g Transform.Data_xforms.local_stream
+    (try apply_first g Transform.Data_xforms.local_stream
      with _ -> ());
-    (try Transform.Xform.apply_first_exn g Transform.Data_xforms.accumulate_transient
+    (try apply_first g Transform.Data_xforms.accumulate_transient
      with _ -> ());
     g
   in
@@ -364,7 +371,7 @@ let fig14a () =
 let fig14b () =
   header "Figure 14b: fundamental kernels, GPU [ms]";
   let gpuify g =
-    Transform.Xform.apply_first_exn g Transform.Device_xforms.gpu_transform;
+    apply_first g Transform.Device_xforms.gpu_transform;
     g
   in
   let mm_sizes = [ ("M", 2048); ("N", 2048); ("K", 2048) ] in
@@ -374,7 +381,7 @@ let fig14b () =
     List.iteri (fun i _ -> if i <= 2 then try apply_mm_step g i with _ -> ())
       mm_chain_steps;
     (try
-       Transform.Xform.apply_first_exn g
+       apply_first g
          (Transform.Map_xforms.map_tiling_sized ~tile_sizes:[ 32 ])
      with _ -> ());
     gpuify g
@@ -405,7 +412,7 @@ let fig14b () =
   let h_sizes = [ ("H", 8192); ("W", 8192) ] in
   let h_sdfg =
     let g = Workloads.Kernels.histogram () in
-    (try Transform.Xform.apply_first_exn g Transform.Data_xforms.accumulate_transient
+    (try apply_first g Transform.Data_xforms.accumulate_transient
      with _ -> ());
     (Baselines.evaluate ~spec Baselines.sdfg_gpu ~symbols:h_sizes (gpuify g))
       .Cost.r_time_s
@@ -416,9 +423,9 @@ let fig14b () =
   let q_sizes = [ ("N", 67108864) ] in
   let q_sdfg =
     let g = Workloads.Kernels.query () in
-    (try Transform.Xform.apply_first_exn g Transform.Data_xforms.local_stream
+    (try apply_first g Transform.Data_xforms.local_stream
      with _ -> ());
-    (try Transform.Xform.apply_first_exn g Transform.Data_xforms.accumulate_transient
+    (try apply_first g Transform.Data_xforms.accumulate_transient
      with _ -> ());
     (Baselines.evaluate ~spec Baselines.sdfg_gpu ~symbols:q_sizes (gpuify g))
       .Cost.r_time_s
@@ -443,9 +450,9 @@ let fig14b () =
 (* Mark the innermost FPGA map dimension as replicated processing elements
    (the systolic-array mapping of Fig. 7). *)
 let fpga_systolic g =
-  Transform.Xform.apply_first_exn g Transform.Device_xforms.fpga_transform;
+  apply_first g Transform.Device_xforms.fpga_transform;
   (try
-     Transform.Xform.apply_first_exn g Transform.Map_xforms.map_expansion;
+     apply_first g Transform.Map_xforms.map_expansion;
      List.iter
        (fun st ->
          List.iter
@@ -470,7 +477,7 @@ let fig14c () =
         .Cost.r_time_s
     in
     let hls_g = g () in
-    Transform.Xform.apply_first_exn hls_g Transform.Device_xforms.fpga_transform;
+    apply_first hls_g Transform.Device_xforms.fpga_transform;
     let hls_t =
       (Baselines.evaluate ~spec Baselines.naive_hls ~symbols:sizes ?hints
          hls_g)
@@ -618,7 +625,7 @@ let ablations () =
       (Workloads.Kernels.matmul ())
   in
   let peeled_g = Workloads.Kernels.matmul () in
-  Transform.Xform.apply_first_exn peeled_g Transform.Control_xforms.reduce_peeling;
+  apply_first peeled_g Transform.Control_xforms.reduce_peeling;
   let peeled = Cost.estimate ~spec ~target:Cost.Tcpu ~symbols:sizes peeled_g in
   row "atomic WCR: %.4f s; after ReducePeeling: %.4f s (%.1fx)@."
     atomic.Cost.r_time_s peeled.Cost.r_time_s
@@ -631,14 +638,14 @@ let ablations () =
         (fun i _ -> if i <= 2 then try apply_mm_step g i with _ -> ())
         mm_chain_steps;
       (try
-         Transform.Xform.apply_first_exn g
+         apply_first g
            (Transform.Map_xforms.map_tiling_sized ~tile_sizes:[ tile ])
        with _ -> ());
       row "tile %4d: %8.1f GFlop/s@." tile (mm_gflops 1024 g))
     [ 8; 32; 128; 512 ];
   header "Ablation: memlet propagation (exact accelerator copy volumes)";
   let g = Workloads.Kernels.matmul () in
-  Transform.Xform.apply_first_exn g Transform.Device_xforms.gpu_transform;
+  apply_first g Transform.Device_xforms.gpu_transform;
   let sizes = [ ("M", 1024); ("N", 1024); ("K", 1024) ] in
   let exact = Cost.estimate ~spec ~target:Cost.Tgpu ~symbols:sizes g in
   row
@@ -662,26 +669,27 @@ let ablations () =
 
 (* --- interpreter engines: reference vs compiled ----------------------------------- *)
 
-(* Wall-clock timing with adaptive repetition.  The reference engine takes
-   seconds per invocation on the larger inputs, which bechamel's
-   quota-driven sampler handles poorly, so these are measured directly:
-   one run if it is long enough, otherwise enough repetitions to
-   accumulate ~0.5 s, averaged. *)
-let time_run f =
+(* Wall-clock seconds of [f ()] with adaptive repetition, the timing
+   helper of the engine and calibration experiments.  The reference
+   engine takes seconds per invocation on the larger inputs, which
+   bechamel's quota-driven sampler handles poorly, so these are measured
+   directly: one run if it is long enough, otherwise the best of enough
+   repetitions to accumulate ~0.5 s. *)
+let wall f =
   let once () =
-    let t0 = Sys.time () in
+    let t0 = Unix.gettimeofday () in
     f ();
-    Sys.time () -. t0
+    Unix.gettimeofday () -. t0
   in
   let first = once () in
   if first >= 0.5 then first
   else begin
     let reps = min 20 (1 + int_of_float (0.5 /. Float.max first 1e-6)) in
-    let total = ref first in
+    let best = ref first in
     for _ = 1 to reps do
-      total := !total +. once ()
+      best := Float.min !best (once ())
     done;
-    !total /. float_of_int (reps + 1)
+    !best
   end
 
 let engine_cases =
@@ -723,7 +731,7 @@ let engines () =
     List.map
       (fun (name, build, symbols) ->
         let measure engine =
-          time_run (fun () ->
+          wall (fun () ->
               ignore
                 (Interp.Exec.run
                    ~config:(Interp.Exec.Config.with_engine engine
@@ -792,7 +800,7 @@ let engines_v2 () =
             |> with_kernels kernels |> with_domains 1)
         in
         let measure kernels =
-          time_run (fun () ->
+          wall (fun () ->
               ignore
                 (Interp.Exec.run ~config:(compiled_1dom kernels) ~symbols
                    (build ())))
@@ -885,33 +893,19 @@ let engines_v2 () =
    BENCH_interp.json so the parallel experiment (and CI) can replay the
    same record. *)
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Unix.gettimeofday () -. t0
-
-let wall_best ?(reps = 5) f =
-  let best = ref infinity in
-  for _ = 1 to reps do
-    best := Float.min !best (wall f)
-  done;
-  !best
-
-(* one timed compiled-engine run plus its counters, for per-iteration
-   rates: ns/iter = wall / map_iterations *)
+(* Per-iteration rate of the work the policy prices: the wall time of a
+   steady [Instance.run] — graph built, containers allocated and plans
+   compiled beforehand — over its map iterations. *)
 let iter_rate_ns ~kernels build symbols =
   let config =
     Interp.Exec.Config.(
       default |> with_engine Interp.Plan.compiled |> with_kernels kernels
       |> with_domains 1)
   in
-  let g = build () in
-  let r = Interp.Exec.run ~config ~symbols g in
+  let inst = Interp.Exec.Instance.create ~config ~symbols (build ()) in
+  let r = Interp.Exec.Instance.run inst in
   let iters = r.Obs.Report.r_counters.Obs.Report.map_iterations in
-  let t =
-    time_run (fun () ->
-        ignore (Interp.Exec.run ~config ~symbols (build ())))
-  in
+  let t = wall (fun () -> ignore (Interp.Exec.Instance.run inst)) in
   (t *. 1e9 /. float_of_int (max 1 iters), iters)
 
 let calibration_of_json json =
@@ -984,7 +978,7 @@ let calibrate () =
   Interp.Pool.run ~domains:2 (fun _ -> ());
   let fork_reps = 200 in
   let fork_s =
-    wall_best (fun () ->
+    wall (fun () ->
         for _ = 1 to fork_reps do
           Interp.Pool.run ~domains:2 (fun _ -> ())
         done)
@@ -995,7 +989,7 @@ let calibrate () =
   let chunk_reps = 1_000_000 in
   let cursor = Atomic.make 0 in
   let chunk_s =
-    wall_best (fun () ->
+    wall (fun () ->
         Atomic.set cursor 0;
         while Atomic.fetch_and_add cursor 1 < chunk_reps do
           ()
@@ -1006,7 +1000,7 @@ let calibrate () =
   let merge_n = 1 lsl 20 in
   let src = Array.make merge_n 1.0 and dst = Array.make merge_n 0.0 in
   let merge_s_per_elem =
-    wall_best (fun () ->
+    wall (fun () ->
         for i = 0 to merge_n - 1 do
           Array.unsafe_set dst i
             (Array.unsafe_get dst i +. Array.unsafe_get src i)
@@ -1315,7 +1309,10 @@ let autoopt () =
           if res.Opt.Search.r_chain = [] then base_s
           else begin
             let g = k.k_build () in
-            Transform.Std.apply_chain_exn g res.r_chain;
+            (match Transform.Std.apply_chain g res.r_chain with
+            | Ok () -> ()
+            | Error msg ->
+              Fmt.failwith "autoopt replay failed on %s: %s" name msg);
             wall g
           end
         in

@@ -59,10 +59,13 @@ let () =
   Fmt.pr "transforming GEMM without modifying the tasklet (Fig. 15):@.@.";
   check "start: map-reduce (Fig. 9b)";
   step "MapReduceFusion" Transform.Fusion_xforms.map_reduce_fusion;
-  Transform.Xform.apply_first_exn g Transform.Map_xforms.map_expansion;
-  Transform.Xform.apply_first_exn g Transform.Map_xforms.map_interchange;
-  Transform.Xform.apply_first_exn g Transform.Map_xforms.map_collapse;
-  check "loop reorder (expand+interchange+collapse)";
+  (match
+     Transform.Std.apply_chain g
+       (Transform.Xform.chain_of_string
+          "MapExpansion\nMapInterchange\nMapCollapse")
+   with
+  | Ok () -> check "loop reorder (expand+interchange+collapse)"
+  | Error msg -> failwith msg);
   step "MapTiling (L3, 128)"
     (Transform.Map_xforms.map_tiling_sized ~tile_sizes:[ 128 ]);
   step "MapTiling (registers, 4)"

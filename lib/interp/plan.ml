@@ -53,10 +53,9 @@ type ctx = {
    domains share nothing mutable except the output tensors the race
    analysis proved disjoint. *)
 type replica = {
-  rp_ctx : ctx;                  (* for the frame (symbol refresh) *)
+  rp_refresh : unit -> unit;     (* reload interstate-symbol slots *)
   rp_stats : Reference.stats;    (* merged into the main stats after join *)
   rp_collector : Obs.Collect.t;  (* absorbed under the map's span *)
-  rp_sym : (string * int) array; (* interstate symbol -> replica slot *)
   rp_acc : Tensor.t array;       (* private accumulators, in verdict order *)
   rp_kind : string option;       (* recognized bulk-kernel kind, if any *)
   rp_run : int -> int -> int -> unit;  (* lo hi step over the outer param *)
@@ -91,6 +90,72 @@ let slot_fn ctx scope_env name =
 
 let comp_expr ctx scope_env e : int array -> int =
   Expr.compile ~slot:(slot_fn ctx scope_env) e
+
+let run_steps steps =
+  for i = 0 to Array.length steps - 1 do
+    (Array.unsafe_get steps i) ()
+  done
+
+(* Every compiled body — a state's plan, a streaming stage, a parallel
+   map's replica — lowers over a fresh context: [compile] builds the body
+   (allocating frame slots as it goes), then the frame is sized and the
+   interstate symbols the body reads are collected.  The returned
+   [refresh] reloads their slots from the symbol table and must run
+   before each execution of the body; membership was checked at plan
+   time and symbols are never removed. *)
+let compile_fresh ?popped env st (compile : ctx -> 'a) : 'a * (unit -> unit) =
+  let ctx =
+    { env; st; frame = [||]; n_slots = 0; sym_slots = Hashtbl.create 8;
+      popped }
+  in
+  let body = compile ctx in
+  ctx.frame <- Array.make (max 1 ctx.n_slots) 0;
+  let syms =
+    Array.of_list
+      (Hashtbl.fold (fun name slot acc -> (name, slot) :: acc) ctx.sym_slots
+         [])
+  in
+  let refresh () =
+    let fr = ctx.frame in
+    Array.iter
+      (fun (name, slot) -> fr.(slot) <- Hashtbl.find env.Reference.symbols name)
+      syms
+  in
+  (body, refresh)
+
+(* A map's ranges compile against the enclosing scope only — they may
+   not use the map's own parameters, exactly like the reference.  [eval]
+   writes them into the returned bounds scratch once per invocation
+   ([bounds.(3d)] / [(3d+1)] / [(3d+2)] = lo / hi / step of dimension
+   [d]), rejecting a stride below one as the reference does. *)
+let comp_bounds ctx scope_env (info : map_info) : int array * (unit -> unit) =
+  let dims =
+    Array.of_list
+      (List.map2
+         (fun p (r : Subset.range) ->
+           ( p,
+             comp_expr ctx scope_env r.start,
+             comp_expr ctx scope_env r.stop,
+             comp_expr ctx scope_env r.stride ))
+         info.mp_params info.mp_ranges)
+  in
+  let bounds = Array.make (max 3 (3 * Array.length dims)) 0 in
+  let label = ctx.st.st_label in
+  let eval () =
+    let fr = ctx.frame in
+    Array.iteri
+      (fun k (p, lo_f, hi_f, step_f) ->
+        bounds.(3 * k) <- lo_f fr;
+        bounds.((3 * k) + 1) <- hi_f fr;
+        let s = step_f fr in
+        if s <= 0 then
+          Reference.runtime_error
+            "map over parameter %S in state %S: non-positive stride %d" p
+            label s;
+        bounds.((3 * k) + 2) <- s)
+      dims
+  in
+  (bounds, eval)
 
 (* --- compiled memlet subsets ------------------------------------------- *)
 
@@ -375,78 +440,69 @@ let rec comp_node ?(strict = false) ctx scope_env nid : unit -> unit =
     if passthrough then fun () -> () else fallback ()
   | Access _ | Consume_entry _ | Reduce _ | Nested_sdfg _ -> fallback ()
 
-(* A map scope compiles to a loop nest: ranges are evaluated once per
-   invocation into a bounds scratch (as the reference does), each level
-   writes its parameter's frame slot, and the innermost level counts one
-   map iteration before running the body steps. *)
+(* A map scope compiles to its range evaluation plus the loop nest
+   ({!comp_nest}) run over the whole outer range. *)
 and comp_map ?(strict = false) ctx scope_env entry (info : map_info) :
     unit -> unit =
-  let dims =
-    List.map2
-      (fun p (r : Subset.range) ->
-        (* ranges may not use this map's own parameters: compiled against
-           the enclosing scope only, exactly like the reference *)
-        ( p,
-          comp_expr ctx scope_env r.start,
-          comp_expr ctx scope_env r.stop,
-          comp_expr ctx scope_env r.stride ))
-      info.mp_params info.mp_ranges
-  in
-  let dims = Array.of_list dims in
-  let pslots = Array.map (fun (p, _, _, _) -> (p, alloc_slot ctx)) dims in
-  let scope_env' = scope_env @ Array.to_list pslots in
-  let body_ids = Reference.scope_body ctx.st entry in
+  let bounds, eval = comp_bounds ctx scope_env info in
+  let run, _ = comp_nest ~strict ctx scope_env entry info bounds in
+  fun () ->
+    eval ();
+    run bounds.(0) bounds.(1) bounds.(2)
+
+(* The one lowering of a map body, shared by the sequential plan and
+   every parallel replica.  Each nest level writes its parameter's frame
+   slot, the inner levels read their ranges from [bounds], and the
+   innermost counts one map iteration before running the body steps.
+   The returned runner takes the outer parameter's [lo hi step] — the
+   whole range, or one parallel chunk of it — and launches the bulk
+   kernel when the body lowers to one, with the nest as its slow path;
+   the kernel kind comes back alongside. *)
+and comp_nest ~strict ctx scope_env entry (info : map_info) bounds :
+    (int -> int -> int -> unit) * string option =
+  let pslots = List.map (fun p -> (p, alloc_slot ctx)) info.mp_params in
   let steps =
-    Array.of_list (List.map (comp_node ~strict ctx scope_env') body_ids)
+    Array.of_list
+      (List.map
+         (comp_node ~strict ctx (scope_env @ pslots))
+         (Reference.scope_body ctx.st entry))
   in
-  let nd = Array.length dims in
-  let bounds = Array.make (max 1 (nd * 3)) 0 in
   let stats = ctx.env.Reference.stats in
   let run_body () =
     stats.Reference.map_iterations <- stats.Reference.map_iterations + 1;
-    for i = 0 to Array.length steps - 1 do
-      (Array.unsafe_get steps i) ()
+    run_steps steps
+  in
+  let loop slot inner lo hi step =
+    let fr = ctx.frame in
+    let i = ref lo in
+    while !i <= hi do
+      fr.(slot) <- !i;
+      inner ();
+      i := !i + step
     done
   in
-  let rec build k =
-    if k = nd then run_body
-    else
-      let inner = build (k + 1) in
-      let _, slot = pslots.(k) in
+  let rec build k = function
+    | [] -> run_body
+    | (_, slot) :: rest ->
+      let inner = build (k + 1) rest in
       fun () ->
-        let fr = ctx.frame in
-        let hi = bounds.((3 * k) + 1) and step = bounds.((3 * k) + 2) in
-        let i = ref bounds.(3 * k) in
-        while !i <= hi do
-          fr.(slot) <- !i;
-          inner ();
-          i := !i + step
-        done
+        loop slot inner bounds.(3 * k) bounds.((3 * k) + 1)
+          bounds.((3 * k) + 2)
   in
-  let nest = build 0 in
-  let launch =
-    match try_kernel ctx scope_env entry info with
-    | None -> nest
-    | Some k ->
-      fun () ->
-        k.Kernels.k_run ~frame:ctx.frame ~bounds ~lo:bounds.(0)
-          ~hi:bounds.(1) ~step:bounds.(2) ~slow:nest
+  let nest =
+    match pslots with
+    | [] -> fun _ _ _ -> run_body ()
+    | (_, slot) :: rest ->
+      let inner = build 1 rest in
+      fun lo hi step -> loop slot inner lo hi step
   in
-  let label = ctx.st.st_label in
-  fun () ->
-    let fr = ctx.frame in
-    Array.iteri
-      (fun k (p, lo_f, hi_f, step_f) ->
-        bounds.(3 * k) <- lo_f fr;
-        bounds.((3 * k) + 1) <- hi_f fr;
-        let s = step_f fr in
-        if s <= 0 then
-          Reference.runtime_error
-            "map over parameter %S in state %S: non-positive stride %d" p
-            label s;
-        bounds.((3 * k) + 2) <- s)
-      dims;
-    launch ()
+  match try_kernel ctx scope_env entry info with
+  | None -> (nest, None)
+  | Some k ->
+    ( (fun lo hi step ->
+        k.Kernels.k_run ~frame:ctx.frame ~bounds ~lo ~hi ~step
+          ~slow:(fun () -> nest lo hi step)),
+      Some k.Kernels.k_name )
 
 (* --- parallel maps ------------------------------------------------------- *)
 
@@ -539,20 +595,9 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   (* Outer range endpoints compile against the enclosing (top-level)
      scope on the main ctx; evaluated once per invocation into a bounds
      scratch the workers read but never write. *)
-  let dims =
-    Array.of_list
-      (List.map2
-         (fun p (r : Subset.range) ->
-           ( p,
-             comp_expr ctx [] r.start,
-             comp_expr ctx [] r.stop,
-             comp_expr ctx [] r.stride ))
-         info.mp_params info.mp_ranges)
-  in
-  let nd = Array.length dims in
+  let bounds, eval_bounds = comp_bounds ctx [] info in
+  let nd = List.length info.mp_params in
   if nd = 0 then raise Fallback;
-  let bounds = Array.make (nd * 3) 0 in
-  let body_ids = Reference.scope_body ctx.st entry in
   let acc_shared =
     Array.of_list
       (List.map
@@ -569,16 +614,16 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   (* every privatized name must bind now: worker replicas are compiled
      later, at the first fork, where a [Fallback] could not be honored *)
   Array.iter (fun name -> ignore (tens name)) priv_names;
+  let shares_containers = n_acc = 0 && Array.length priv_names = 0 in
   (* [solo]: a replica that shares the run's containers outright — no
      private accumulators, no privatized transients — so running it over
      the full range is bit-identical to the sequential plan.  The
      predictive policy dispatches onto it whenever it predicts one
      domain, paying no fork, no merge and no extra float-combine
      reordering. *)
-  let make_replica ~solo _ =
+  let make_replica ~solo =
     let rcontainers =
-      if solo || (n_acc = 0 && Array.length priv_names = 0) then
-        env.Reference.containers
+      if solo || shares_containers then env.Reference.containers
       else begin
         let tbl = Hashtbl.copy env.Reference.containers in
         Array.iteri
@@ -608,67 +653,11 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
           Obs.Collect.create (Obs.Collect.level env.Reference.collector);
         containers = rcontainers }
     in
-    let rctx =
-      { env = renv; st = ctx.st; frame = [||]; n_slots = 0;
-        sym_slots = Hashtbl.create 8; popped = None }
-    in
-    let pslots = Array.map (fun (p, _, _, _) -> (p, alloc_slot rctx)) dims in
-    let scope_env = Array.to_list pslots in
-    let steps =
-      Array.of_list
-        (List.map (comp_node ~strict:true rctx scope_env) body_ids)
-    in
-    (* per-replica kernel recognition: operand buffers bind against the
-       replica's containers (private accumulators and transients), and
-       any symbol slots it allocates must precede the frame allocation *)
-    let kernel = try_kernel rctx [] entry info in
-    rctx.frame <- Array.make (max 1 rctx.n_slots) 0;
-    let sym_refresh =
-      Array.of_list
-        (Hashtbl.fold (fun name slot acc -> (name, slot) :: acc)
-           rctx.sym_slots [])
-    in
-    let stats = renv.Reference.stats in
-    let run_body () =
-      stats.Reference.map_iterations <- stats.Reference.map_iterations + 1;
-      for i = 0 to Array.length steps - 1 do
-        (Array.unsafe_get steps i) ()
-      done
-    in
-    (* inner dimensions loop sequentially inside each chunk *)
-    let rec build k =
-      if k = nd then run_body
-      else
-        let inner = build (k + 1) in
-        let _, slot = pslots.(k) in
-        fun () ->
-          let fr = rctx.frame in
-          let hi = bounds.((3 * k) + 1) and step = bounds.((3 * k) + 2) in
-          let i = ref bounds.(3 * k) in
-          while !i <= hi do
-            fr.(slot) <- !i;
-            inner ();
-            i := !i + step
-          done
-    in
-    let inner = build 1 in
-    let slot0 = snd pslots.(0) in
-    let run_range lo hi step =
-      let fr = rctx.frame in
-      let i = ref lo in
-      while !i <= hi do
-        fr.(slot0) <- !i;
-        inner ();
-        i := !i + step
-      done
-    in
-    let run_range =
-      match kernel with
-      | None -> run_range
-      | Some k ->
-        fun lo hi step ->
-          k.Kernels.k_run ~frame:rctx.frame ~bounds ~lo ~hi ~step
-            ~slow:(fun () -> run_range lo hi step)
+    (* kernel recognition binds operand buffers against the replica's
+       containers (private accumulators and transients) *)
+    let (rp_run, rp_kind), rp_refresh =
+      compile_fresh renv ctx.st (fun rctx ->
+          comp_nest ~strict:true rctx [] entry info bounds)
     in
     let rp_acc =
       if solo then [||]
@@ -680,17 +669,14 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
             | _ -> assert false)
           acc_names
     in
-    { rp_ctx = rctx; rp_stats = stats; rp_collector = renv.Reference.collector;
-      rp_sym = sym_refresh; rp_acc;
-      rp_kind = Option.map (fun k -> k.Kernels.k_name) kernel;
-      rp_run = run_range }
+    { rp_refresh; rp_stats = renv.Reference.stats;
+      rp_collector = renv.Reference.collector; rp_acc; rp_kind; rp_run }
   in
   let predictive =
     match policy with
     | Reference.Predictive _ -> true
     | Reference.Fixed _ -> false
   in
-  let shares_containers = n_acc = 0 && Array.length priv_names = 0 in
   (* Only the one-domain replica compiles at plan time.  It runs the
      predictive policy's sequential invocations, and its coverage and
      kernel kind stand for the map's (each replica compiles the same
@@ -699,14 +685,14 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
      a map that never forks never pays for them.  For disjoint-write
      maps the solo replica already shares the run's containers and
      doubles as worker 0. *)
-  let solo = make_replica ~solo:true 0 in
+  let solo = make_replica ~solo:true in
   let replicas = ref [||] in
   let forked_replicas () =
     if Array.length !replicas = 0 then
       replicas :=
         Array.init d (fun w ->
             if w = 0 && shares_containers then solo
-            else make_replica ~solo:false w);
+            else make_replica ~solo:false);
     !replicas
   in
   Obs.Collect.merge_coverage env.Reference.collector solo.rp_collector;
@@ -733,35 +719,14 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   let par = env.Reference.par in
   let collector = env.Reference.collector in
   let main_stats = env.Reference.stats in
-  let label = ctx.st.st_label in
   (* merge one worker's counters into the run's; totals stay bit-equal
      to sequential because every iteration is counted exactly once *)
   let drain_stats s =
     Reference.add_stats ~into:main_stats s;
     Reference.reset_stats s
   in
-  (* interstate symbols may have changed since the last invocation:
-     refresh a participating replica's slots before dispatch *)
-  let refresh r =
-    let rfr = r.rp_ctx.frame in
-    Array.iter
-      (fun (name, slot) ->
-        rfr.(slot) <- Hashtbl.find env.Reference.symbols name)
-      r.rp_sym
-  in
   fun () ->
-    let fr = ctx.frame in
-    Array.iteri
-      (fun k (p, lo_f, hi_f, step_f) ->
-        bounds.(3 * k) <- lo_f fr;
-        bounds.((3 * k) + 1) <- hi_f fr;
-        let s = step_f fr in
-        if s <= 0 then
-          Reference.runtime_error
-            "map over parameter %S in state %S: non-positive stride %d" p
-            label s;
-        bounds.((3 * k) + 2) <- s)
-      dims;
+    eval_bounds ();
     let lo = bounds.(0) and hi = bounds.(1) and step = bounds.(2) in
     if lo > hi then begin
       md.Reference.md_trips <- 0;
@@ -806,7 +771,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
         (* sequential by prediction: the solo replica runs the whole
            range against the shared containers — bit-identical to (and
            as fast as) the sequential plan, no fork, no merge *)
-        refresh solo;
+        solo.rp_refresh ();
         solo.rp_run lo hi step;
         drain_stats solo.rp_stats;
         if Obs.Collect.timing_on collector then
@@ -815,38 +780,27 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
       else begin
         let replicas = forked_replicas () in
         par.Reference.par_maps <- par.Reference.par_maps + 1;
+        (* interstate symbols may have changed since the last
+           invocation *)
         for w = 0 to workers - 1 do
-          refresh replicas.(w)
+          replicas.(w).rp_refresh ()
         done;
-        if n_acc > 0 then begin
-          (* accumulating maps get exactly one contiguous block per
-             worker: the private-accumulator merge below then combines
-             partial sums in canonical (ascending-iteration) order, so
-             results are deterministic for a given domain count *)
+        (* block [c] of [n] equal contiguous blocks of the outer range *)
+        let run_block r c n =
+          let t0 = c * trips / n and t1 = (c + 1) * trips / n in
+          if t1 > t0 then
+            r.rp_run (lo + (t0 * step)) (lo + ((t1 - 1) * step)) step
+        in
+        if n_acc > 0 || kind <> None then begin
+          (* static blocks, exactly one contiguous block per worker.  For
+             accumulating maps the private-accumulator merge below then
+             combines partial sums in canonical (ascending-iteration)
+             order, so results are deterministic for a given domain
+             count; bulk-kernel bodies run as [workers] flat strided
+             loops with no shared chunk cursor to contend on *)
           par.Reference.par_chunks <- par.Reference.par_chunks + workers;
           Pool.run ~domains:workers (fun w ->
-              let t0 = w * trips / workers
-              and t1 = (w + 1) * trips / workers in
-              if t1 > t0 then
-                replicas.(w).rp_run
-                  (lo + (t0 * step))
-                  (lo + ((t1 - 1) * step))
-                  step)
-        end
-        else if kind <> None then begin
-          (* bulk-kernel bodies: one contiguous block per worker means
-             one kernel launch per worker — the whole map runs as
-             [workers] flat strided loops with no shared chunk cursor
-             to contend on *)
-          par.Reference.par_chunks <- par.Reference.par_chunks + workers;
-          Pool.run ~domains:workers (fun w ->
-              let t0 = w * trips / workers
-              and t1 = (w + 1) * trips / workers in
-              if t1 > t0 then
-                replicas.(w).rp_run
-                  (lo + (t0 * step))
-                  (lo + ((t1 - 1) * step))
-                  step)
+              run_block replicas.(w) w workers)
         end
         else begin
           (* disjoint closure bodies: chunk assignment cannot affect the
@@ -865,13 +819,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
                 if c >= nchunks then continue_ := false
                 else begin
                   incr mine;
-                  let t0 = c * trips / nchunks
-                  and t1 = (c + 1) * trips / nchunks in
-                  if t1 > t0 then
-                    r.rp_run
-                      (lo + (t0 * step))
-                      (lo + ((t1 - 1) * step))
-                      step
+                  run_block r c nchunks
                 end
               done;
               chunk_tally.(w * pad) <- !mine);
@@ -1048,33 +996,19 @@ and comp_tasklet ctx scope_env nid (t : tasklet) : unit -> unit =
 
 let prepare (env : Reference.env) (st : state) : Reference.cached_plan =
   Obs.Collect.note_planned_state env.Reference.collector;
-  let ctx =
-    { env; st; frame = [||]; n_slots = 0; sym_slots = Hashtbl.create 8;
-      popped = None }
-  in
   let top =
     let parents = State.scope_parents st in
     List.filter
       (fun nid -> Hashtbl.find parents nid = None)
       (State.topological_order st)
   in
-  let steps = Array.of_list (List.map (comp_node ctx []) top) in
-  ctx.frame <- Array.make (max 1 ctx.n_slots) 0;
-  (* symbol slots refresh from the interstate table at every execution;
-     membership was checked at plan time and symbols are never removed *)
-  let sym_refresh =
-    Array.of_list
-      (Hashtbl.fold (fun name slot acc -> (name, slot) :: acc) ctx.sym_slots
-         [])
+  let steps, refresh =
+    compile_fresh env st (fun ctx ->
+        Array.of_list (List.map (comp_node ctx []) top))
   in
   let run () =
-    let fr = ctx.frame in
-    Array.iter
-      (fun (name, slot) -> fr.(slot) <- Hashtbl.find env.Reference.symbols name)
-      sym_refresh;
-    for i = 0 to Array.length steps - 1 do
-      (Array.unsafe_get steps i) ()
-    done
+    refresh ();
+    run_steps steps
   in
   { Reference.pl_version = st.st_version; pl_run = run }
 
@@ -1106,35 +1040,26 @@ let exec_state (env : Reference.env) (st : state) =
 let compile_stage (env : Reference.env) (st : state) entry
     (info : consume_info) : (int -> value -> unit) option =
   let cell = ref (I 0) in
-  let ctx =
-    { env; st; frame = [||]; n_slots = 0; sym_slots = Hashtbl.create 8;
-      popped = Some (info.cs_stream, cell) }
-  in
-  let pe_slot = alloc_slot ctx in
-  let scope_env = [ (info.cs_pe_param, pe_slot) ] in
-  let body_ids = Reference.scope_body st entry in
-  match List.map (comp_node ~strict:true ctx scope_env) body_ids with
-  | exception Fallback -> None
-  | steps ->
-    let steps = Array.of_list steps in
-    ctx.frame <- Array.make (max 1 ctx.n_slots) 0;
-    let sym_refresh =
+  let compile ctx =
+    let pe_slot = alloc_slot ctx in
+    let steps =
       Array.of_list
-        (Hashtbl.fold (fun name slot acc -> (name, slot) :: acc) ctx.sym_slots
-           [])
+        (List.map
+           (comp_node ~strict:true ctx [ (info.cs_pe_param, pe_slot) ])
+           (Reference.scope_body st entry))
     in
+    fun pe v ->
+      ctx.frame.(pe_slot) <- pe;
+      cell := v;
+      run_steps steps
+  in
+  match compile_fresh ~popped:(info.cs_stream, cell) env st compile with
+  | exception Fallback -> None
+  | run, refresh ->
     Some
       (fun pe v ->
-        let fr = ctx.frame in
-        Array.iter
-          (fun (name, slot) ->
-            fr.(slot) <- Hashtbl.find env.Reference.symbols name)
-          sym_refresh;
-        fr.(pe_slot) <- pe;
-        cell := v;
-        for i = 0 to Array.length steps - 1 do
-          (Array.unsafe_get steps i) ()
-        done)
+        refresh ();
+        run pe v)
 
 (* Engine names for callers that build a config from this module. *)
 let compiled = `Compiled

@@ -44,8 +44,9 @@ let current s = s.s_current
 let history s = List.rev s.s_history
 
 (* Apply transformation [name] to candidate [index], recording the step
-   and (if a measure was supplied) the post-step figure of merit. *)
-let apply_exn ?(index = 0) s name =
+   and (if a measure was supplied) the post-step figure of merit.  Raises
+   {!Xform.Not_applicable}; replaying a recorded chain relies on it. *)
+let step ?(index = 0) s name =
   let x = Std.lookup name in
   let cands = x.Xform.x_find s.s_current in
   match List.nth_opt cands index with
@@ -62,9 +63,14 @@ let apply_exn ?(index = 0) s name =
       :: s.s_history
 
 let apply ?index s name =
-  match apply_exn ?index s name with
+  match step ?index s name with
   | () -> Ok ()
   | exception Xform.Not_applicable msg -> Error msg
+
+let replay s steps =
+  List.iter
+    (fun (st : Xform.chain_step) -> step ~index:st.cs_index s st.cs_xform)
+    steps
 
 (* Candidates currently available, for interactive exploration. *)
 let candidates s name =
@@ -82,9 +88,7 @@ let undo ?(n = 1) s =
   in
   s.s_current <- s.s_build ();
   s.s_history <- [];
-  List.iter
-    (fun (st : Xform.chain_step) -> apply_exn ~index:st.cs_index s st.cs_xform)
-    prefix
+  replay s prefix
 
 (* Diverge from a mid-point: a new session replaying only the first
    [steps] entries — "diverging from a mid-point in the chain" (§4.2). *)
@@ -95,9 +99,7 @@ let branch_at s ~steps =
     |> List.map (fun e -> e.e_step)
   in
   let s' = create ?measure:s.s_measure s.s_build in
-  List.iter
-    (fun (st : Xform.chain_step) -> apply_exn ~index:st.cs_index s' st.cs_xform)
-    prefix;
+  replay s' prefix;
   s'
 
 (* Chain file format (§4.2 "save transformation chains to files"). *)
@@ -111,9 +113,7 @@ let save_chain s path =
 
 let replay_chain ?measure build steps =
   let s = create ?measure build in
-  List.iter
-    (fun (st : Xform.chain_step) -> apply_exn ~index:st.cs_index s st.cs_xform)
-    steps;
+  replay s steps;
   s
 
 let load_chain ?measure build path =

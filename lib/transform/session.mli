@@ -8,7 +8,7 @@
 
     The session state (current graph, history) is encapsulated; history
     is only readable as an immutable list and only changed through
-    {!apply}/{!apply_exn}/{!undo}. *)
+    {!apply}/{!undo}. *)
 
 type entry = {
   e_step : Xform.chain_step;
@@ -50,9 +50,6 @@ val apply : ?index:int -> t -> string -> (unit, string) result
     record the step.  [Error msg] when the transformation does not apply
     (unknown candidate index, failed precondition); the session is
     unchanged in that case. *)
-
-val apply_exn : ?index:int -> t -> string -> unit
-(** As {!apply} but raises {!Xform.Not_applicable}. *)
 
 val undo : ?n:int -> t -> unit
 (** Drop the last [n] steps by replaying the remaining prefix on a fresh

@@ -39,29 +39,24 @@ let lookup name =
   | Some x -> x
   | None -> Xform.not_applicable "unknown transformation %S" name
 
-let apply_by_name_exn ?validate g name =
-  Xform.apply_first_exn ?validate g (lookup name)
-
-let apply_chain_exn ?validate g (steps : Xform.chain_step list) =
-  List.iter
-    (fun (s : Xform.chain_step) ->
-      let x = lookup s.cs_xform in
-      let cands = x.x_find g in
-      match List.nth_opt cands s.cs_index with
-      | Some c -> Xform.apply ?validate g x c
-      | None ->
-        Xform.not_applicable "%s: candidate %d of %d does not exist"
-          s.cs_xform s.cs_index (List.length cands))
-    steps
-
-let as_result f =
-  match f () with () -> Ok () | exception Xform.Not_applicable m -> Error m
-
 let apply_by_name ?validate g name =
-  as_result (fun () -> apply_by_name_exn ?validate g name)
+  match lookup name with
+  | x -> Xform.apply_first ?validate g x
+  | exception Xform.Not_applicable m -> Error m
 
-let apply_chain ?validate g steps =
-  as_result (fun () -> apply_chain_exn ?validate g steps)
+let apply_chain ?validate g (steps : Xform.chain_step list) =
+  let step (s : Xform.chain_step) =
+    let x = lookup s.cs_xform in
+    let cands = x.x_find g in
+    match List.nth_opt cands s.cs_index with
+    | Some c -> Xform.apply ?validate g x c
+    | None ->
+      Xform.not_applicable "%s: candidate %d of %d does not exist" s.cs_xform
+        s.cs_index (List.length cands)
+  in
+  match List.iter step steps with
+  | () -> Ok ()
+  | exception Xform.Not_applicable m -> Error m
 
 (* Strict transformations can only improve the program and are applied
    automatically after frontend processing (Appendix D: "strict

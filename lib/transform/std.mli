@@ -23,8 +23,6 @@ val apply_by_name :
   ?validate:bool -> Sdfg_ir.Sdfg.t -> string -> (unit, string) result
 (** {!Xform.apply_first} of {!lookup}; [Error] also on unknown names. *)
 
-val apply_by_name_exn : ?validate:bool -> Sdfg_ir.Sdfg.t -> string -> unit
-
 val apply_chain :
   ?validate:bool ->
   Sdfg_ir.Sdfg.t ->
@@ -32,9 +30,6 @@ val apply_chain :
   (unit, string) result
 (** Replay a chain step by step; [Error] on an unknown transformation,
     a missing candidate index or a failed application. *)
-
-val apply_chain_exn :
-  ?validate:bool -> Sdfg_ir.Sdfg.t -> Xform.chain_step list -> unit
 
 val strict : Xform.t list
 (** Strict transformations can only improve the program and are applied

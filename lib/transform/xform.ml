@@ -42,42 +42,35 @@ let apply ?(validate = true) (g : Sdfg.t) (x : t) (c : candidate) =
   Propagate.propagate g;
   if validate then Validate.check g
 
-(* Apply to the first candidate found.  Raises {!Not_applicable} if the
-   pattern does not occur. *)
-let apply_first_exn ?(validate = true) (g : Sdfg.t) (x : t) =
-  match x.x_find g with
-  | [] -> not_applicable "%s: no matching subgraph" x.x_name
-  | c :: _ -> apply ~validate g x c
-
-(* Apply a transformation repeatedly until it no longer matches (bounded,
-   to guard against non-terminating rewrite loops). *)
-let apply_until_fixpoint_exn ?(validate = true) ?(max_iter = 128) g (x : t) =
-  let rec go i =
-    if i >= max_iter then ()
-    else
-      match x.x_find g with
-      | [] -> ()
-      | c :: _ ->
-        apply ~validate g x c;
-        go (i + 1)
-  in
-  go 0
-
-(* An optimization chain: a named sequence of transformation applications,
-   the file format behind "save transformation chains to files" (§4.2). *)
-type chain_step = { cs_xform : string; cs_index : int }
-
 (* The result-returning surface: callers (the optimizer, the CLI, the
    session) drive control flow on values rather than by catching
    {!Not_applicable}. *)
 let as_result f =
   match f () with () -> Ok () | exception Not_applicable msg -> Error msg
 
-let apply_first ?validate g x =
-  as_result (fun () -> apply_first_exn ?validate g x)
+(* Apply to the first candidate found; [Error] if the pattern does not
+   occur. *)
+let apply_first ?validate (g : Sdfg.t) (x : t) =
+  match x.x_find g with
+  | [] -> Error (Fmt.str "%s: no matching subgraph" x.x_name)
+  | c :: _ -> as_result (fun () -> apply ?validate g x c)
 
-let apply_until_fixpoint ?validate ?max_iter g x =
-  as_result (fun () -> apply_until_fixpoint_exn ?validate ?max_iter g x)
+(* Apply a transformation repeatedly until it no longer matches (bounded,
+   to guard against non-terminating rewrite loops). *)
+let apply_until_fixpoint ?validate ?(max_iter = 128) g (x : t) =
+  let rec go i =
+    if i < max_iter then
+      match x.x_find g with
+      | [] -> ()
+      | c :: _ ->
+        apply ?validate g x c;
+        go (i + 1)
+  in
+  as_result (fun () -> go 0)
+
+(* An optimization chain: a named sequence of transformation applications,
+   the file format behind "save transformation chains to files" (§4.2). *)
+type chain_step = { cs_xform : string; cs_index : int }
 
 let chain_to_string steps =
   String.concat "\n"

@@ -40,8 +40,7 @@ val make :
     The primary application surface returns [(unit, string) result]:
     [Error msg] when the transformation does not apply (no match, failed
     precondition), so callers — the optimizer, the CLI, sessions — drive
-    control flow on values.  The [*_exn] variants raise
-    {!Not_applicable} instead. *)
+    control flow on values. *)
 
 val apply : ?validate:bool -> Sdfg_ir.Sdfg.t -> t -> candidate -> unit
 (** Apply to one candidate, then re-run memlet propagation and (unless
@@ -55,11 +54,6 @@ val apply_until_fixpoint :
 (** Re-find and apply until the pattern no longer occurs (bounded).
     Reaching the fixpoint without a single application is [Ok ()]; [Error]
     only when an application itself fails midway. *)
-
-val apply_first_exn : ?validate:bool -> Sdfg_ir.Sdfg.t -> t -> unit
-
-val apply_until_fixpoint_exn :
-  ?validate:bool -> ?max_iter:int -> Sdfg_ir.Sdfg.t -> t -> unit
 
 (** {1 Optimization chains (§4.2)}
 

@@ -331,3 +331,10 @@ let nested_loop () =
   Build.edge st ~src_conn:"OUT_counts" ~memlet:(Memlet.full "counts" [ n ])
     ~src:exit_ ~dst:c_acc ();
   Build.finalize g
+
+(* Apply a transformation to its first candidate, failing the test with
+   the transformation's [Error] message when it does not apply. *)
+let apply_first g (x : Transform.Xform.t) =
+  match Transform.Xform.apply_first g x with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "%s: %s" x.Transform.Xform.x_name m

@@ -50,7 +50,7 @@ let test_cpu_state_machine () =
 
 let test_gpu_codegen () =
   let g = Fixtures.matmul_wcr () in
-  Transform.Xform.apply_first_exn g Transform.Device_xforms.gpu_transform;
+  Fixtures.apply_first g Transform.Device_xforms.gpu_transform;
   let code = Codegen.Gpu.generate g in
   has "gpu" code "__global__ void mm_wcr_kernel";
   has "gpu" code "blockIdx.x * blockDim.x + threadIdx.x";
@@ -64,7 +64,7 @@ let test_gpu_codegen () =
 
 let test_fpga_codegen () =
   let g = Fixtures.vector_add () in
-  Transform.Xform.apply_first_exn g Transform.Device_xforms.fpga_transform;
+  Fixtures.apply_first g Transform.Device_xforms.fpga_transform;
   let code = Codegen.Fpga.generate g in
   has "fpga" code "#pragma HLS PIPELINE II=1";
   has "fpga" code "void vadd_module";
@@ -101,12 +101,12 @@ let test_polybench_all_targets () =
       Alcotest.(check bool) (k.k_name ^ " cpu nonempty") true
         (String.length cpu > 200);
       let ggpu = k.k_build () in
-      Transform.Xform.apply_first_exn ggpu Transform.Device_xforms.gpu_transform;
+      Fixtures.apply_first ggpu Transform.Device_xforms.gpu_transform;
       let gpu = Codegen.Gpu.generate ggpu in
       Alcotest.(check bool) (k.k_name ^ " has kernel") true
         (contains gpu "__global__");
       let gf = k.k_build () in
-      Transform.Xform.apply_first_exn gf Transform.Device_xforms.fpga_transform;
+      Fixtures.apply_first gf Transform.Device_xforms.fpga_transform;
       let fpga = Codegen.Fpga.generate gf in
       Alcotest.(check bool) (k.k_name ^ " has module") true
         (contains fpga "#pragma HLS"))

@@ -45,7 +45,7 @@ let test_tiling_reduces_traffic () =
 
 let test_gpu_offload_pays_copies () =
   let g = Workloads.Kernels.matmul () in
-  Transform.Xform.apply_first_exn g Transform.Device_xforms.gpu_transform;
+  Fixtures.apply_first g Transform.Device_xforms.gpu_transform;
   let r = est ~target:Cost.Tgpu g in
   (* exactly A, B (in), C (in+out) at 8 MB each = 33.5 MB *)
   Alcotest.(check bool) "copy volume from propagated memlets" true
@@ -57,7 +57,7 @@ let test_peeling_removes_atomics () =
   let symbols = [ ("H", 2048); ("W", 2048) ] in
   let before = (est ~symbols g).Cost.r_acct.Cost.atomics in
   Alcotest.(check bool) "histogram has conflicting commits" true (before > 0.);
-  Transform.Xform.apply_first_exn g Transform.Data_xforms.accumulate_transient;
+  Fixtures.apply_first g Transform.Data_xforms.accumulate_transient;
   let after = (est ~symbols g).Cost.r_acct.Cost.atomics in
   Alcotest.(check bool) "privatization removes them" true (after = 0.)
 
@@ -65,7 +65,7 @@ let test_vectorization_speeds_compute () =
   let g = Fixtures.vector_add () in
   let symbols = [ ("N", 1 lsl 16) ] in
   let scalar = (est ~symbols g).Cost.r_compute_s in
-  Transform.Xform.apply_first_exn g
+  Fixtures.apply_first g
     (Transform.Map_xforms.vectorization_width ~width:4);
   let vec = (est ~symbols g).Cost.r_compute_s in
   Alcotest.(check bool)
@@ -114,7 +114,7 @@ let test_indirection_classified_random () =
 
 let test_fpga_pipelining () =
   let g = Fixtures.vector_add () in
-  Transform.Xform.apply_first_exn g Transform.Device_xforms.fpga_transform;
+  Fixtures.apply_first g Transform.Device_xforms.fpga_transform;
   let symbols = [ ("N", 1 lsl 20) ] in
   let pipelined = (est ~target:Cost.Tfpga ~symbols g).Cost.r_time_s in
   let naive =

@@ -155,7 +155,7 @@ let test_gpu_portability () =
     Tensor.to_float_list ct
   in
   let reference = run g in
-  Transform.Xform.apply_first_exn g Transform.Device_xforms.gpu_transform;
+  Fixtures.apply_first g Transform.Device_xforms.gpu_transform;
   Alcotest.(check (list (float 1e-9))) "GPU port identical" reference (run g)
 
 (* --- text frontend ------------------------------------------------------- *)

@@ -234,6 +234,76 @@ let test_nonpositive_stride_parallel () =
       (contains "non-positive stride")
   | _ -> Alcotest.fail "expected Runtime_error for stride -1"
 
+(* --- dispatch schedules: chunks per invocation ---------------------------- *)
+
+(* One [Cpu_multicore] map over N iterations: [disjoint] writes X[i],
+   otherwise an integer WCR sum into S[0] (the accumulate verdict). *)
+let schedule_graph ~disjoint =
+  let g, st = Build.single_state ~symbols:[ "N" ] "schedule" in
+  let n = E.sym "N" and i = E.sym "i" in
+  Sdfg.add_array g "A" ~shape:[ n ] ~dtype:T.I64;
+  Sdfg.add_array g "X" ~shape:[ n ] ~dtype:T.I64;
+  Sdfg.add_array g "S" ~shape:[ E.one ] ~dtype:T.I64;
+  let out =
+    if disjoint then Build.out_elem "x" "X" [ i ]
+    else Build.out_elem ~wcr:Defs.Wcr_sum "x" "S" [ E.zero ]
+  in
+  ignore
+    (Build.mapped_tasklet g st ~name:"m" ~schedule:Defs.Cpu_multicore
+       ~params:[ "i" ] ~ranges:[ S.range E.zero (E.sub n E.one) ]
+       ~ins:[ Build.in_elem "a" "A" [ i ] ] ~outs:[ out ]
+       ~code:(`Src "x = a * 3 + 1") ());
+  Build.finalize g
+
+(* Static blocks (bulk kernels, accumulators) dispatch exactly one chunk
+   per worker; disjoint closure bodies deal min(trips, 4 * workers)
+   chunks dynamically.  Either way the outputs match the reference. *)
+let test_dispatch_chunks () =
+  let cases =
+    [ ("kernel disjoint", true, true, fun ~trips:_ ~workers -> workers);
+      ("closure accumulate", false, false, fun ~trips:_ ~workers -> workers);
+      ("kernel accumulate", false, true, fun ~trips:_ ~workers -> workers);
+      ("closure disjoint", true, false,
+       fun ~trips ~workers -> min trips (4 * workers)) ]
+  in
+  List.iter
+    (fun (name, disjoint, kernels, expected) ->
+      let g = schedule_graph ~disjoint in
+      List.iter
+        (fun trips ->
+          let args () =
+            [ ("A", Tensor.init T.I64 [| trips |] (fun ix ->
+                   T.I (List.hd ix mod 5)));
+              ("X", Tensor.create T.I64 [| trips |]);
+              ("S", Tensor.create T.I64 [| 1 |]) ]
+          in
+          let run config =
+            let a = args () in
+            (a, Exec.run g ~config ~symbols:[ ("N", trips) ] ~args:a)
+          in
+          let ref_args, _ =
+            run Exec.Config.(default |> with_engine Plan.reference)
+          in
+          List.iter
+            (fun workers ->
+              let tag = Fmt.str "%s, %d trips, %d domains" name trips workers in
+              let a, r =
+                run Exec.Config.(compiled_at workers |> with_kernels kernels)
+              in
+              check_bits (tag ^ " vs reference") ref_args a;
+              let p = Option.get r.R.r_parallel in
+              Alcotest.(check (list bool)) (tag ^ ": kernel-lowered")
+                [ kernels ]
+                (List.map (fun d -> d.R.pm_kind <> "closure")
+                   p.R.par_decisions);
+              Alcotest.(check int) (tag ^ ": one parallel invocation") 1
+                p.R.par_maps;
+              Alcotest.(check int) (tag ^ ": chunks") (expected ~trips ~workers)
+                p.R.par_chunks)
+            [ 2; 4 ])
+        [ 6; 50 ])
+    cases
+
 (* --- worker replicas built on the first fork ----------------------------- *)
 
 (* A time loop whose two parallel maps grow with the interstate symbol
@@ -360,6 +430,8 @@ let suite =
     ("corpus repros: parallel == sequential", `Quick, test_corpus_parallel);
     ("pinned pathologies: policy predicts 1 domain", `Quick,
       test_policy_pinned_regressions);
+    ("dispatch schedules: chunks per invocation", `Quick,
+      test_dispatch_chunks);
     ("worker replicas built on the first fork", `Quick,
       test_replicas_on_first_fork) ]
   @ List.map

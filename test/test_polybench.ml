@@ -59,7 +59,7 @@ let test_gpu_offload name () =
   let args_ref, _ = run_kernel k in
   (* GPU-offloaded run *)
   let g = k.k_build () in
-  Transform.Xform.apply_first_exn g Transform.Device_xforms.gpu_transform;
+  Fixtures.apply_first g Transform.Device_xforms.gpu_transform;
   let args = alloc_args g k.k_mini in
   ignore (Exec.run g ~symbols:k.k_mini ~args);
   let r = snapshot args_ref and o = snapshot args in

@@ -159,22 +159,14 @@ let run_mm g =
        ~args:[ ("A", a); ("B", b); ("C", c) ]);
   Tensor.to_float_list c
 
-let pipeline_pool : (string * (Sdfg.t -> unit)) list =
-  [ ("expand", fun g -> Transform.Xform.apply_first_exn g Transform.Map_xforms.map_expansion);
-    ("tile2", fun g ->
-      Transform.Xform.apply_first_exn g
-        (Transform.Map_xforms.map_tiling_sized ~tile_sizes:[ 2 ]));
-    ("tile3", fun g ->
-      Transform.Xform.apply_first_exn g
-        (Transform.Map_xforms.map_tiling_sized ~tile_sizes:[ 3 ]));
-    ("acc", fun g ->
-      Transform.Xform.apply_first_exn g Transform.Data_xforms.accumulate_transient);
-    ("peel", fun g ->
-      Transform.Xform.apply_first_exn g Transform.Control_xforms.reduce_peeling);
-    ("fuse_states", fun g ->
-      Transform.Xform.apply_first_exn g Transform.Fusion_xforms.state_fusion);
-    ("gpu", fun g ->
-      Transform.Xform.apply_first_exn g Transform.Device_xforms.gpu_transform) ]
+let pipeline_pool : Transform.Xform.t list =
+  [ Transform.Map_xforms.map_expansion;
+    Transform.Map_xforms.map_tiling_sized ~tile_sizes:[ 2 ];
+    Transform.Map_xforms.map_tiling_sized ~tile_sizes:[ 3 ];
+    Transform.Data_xforms.accumulate_transient;
+    Transform.Control_xforms.reduce_peeling;
+    Transform.Fusion_xforms.state_fusion;
+    Transform.Device_xforms.gpu_transform ]
 
 let prop_random_pipelines =
   QCheck2.Test.make ~count:40
@@ -185,10 +177,9 @@ let prop_random_pipelines =
       let g = Fixtures.matmul_wcr () in
       List.iter
         (fun i ->
-          let _, f = List.nth pipeline_pool i in
-          try f g with
-          | Transform.Xform.Not_applicable _ -> ()
-          | Defs.Invalid_sdfg _ -> ())
+          match Transform.Xform.apply_first g (List.nth pipeline_pool i) with
+          | Ok () | Error _ -> ()
+          | exception Defs.Invalid_sdfg _ -> ())
         choices;
       Validate.check g;
       let got = run_mm g in

@@ -68,9 +68,9 @@ let test_transformed_roundtrip () =
   (* transformations survive a save/load cycle (optimization version
      control, §4.2) *)
   let g = Fixtures.matmul_wcr () in
-  Transform.Xform.apply_first_exn g
+  Fixtures.apply_first g
     (Transform.Map_xforms.map_tiling_sized ~tile_sizes:[ 3 ]);
-  Transform.Xform.apply_first_exn g Transform.Device_xforms.gpu_transform;
+  Fixtures.apply_first g Transform.Device_xforms.gpu_transform;
   let g' = roundtrip g in
   Validate.check g';
   let run g =

@@ -40,13 +40,14 @@ let t_apply_result () =
   | Error _ -> ());
   (* failed applications leave the session untouched *)
   Alcotest.(check int) "no steps recorded" 0 (List.length (Session.history s));
-  (* the exception-raising variant still raises *)
-  (match Session.apply_exn s "NoSuchTransformation" with
-  | () -> Alcotest.fail "unknown transformation applied"
-  | exception Xform.Not_applicable _ -> ());
-  (* ... and Not_applicable is the same exception as Sdfg_ir.Errors' *)
-  (match Session.apply_exn s "NoSuchTransformation" with
-  | () -> Alcotest.fail "unknown transformation applied"
+  (* an unknown name is an [Error] too *)
+  (match Session.apply s "NoSuchTransformation" with
+  | Ok () -> Alcotest.fail "unknown transformation applied"
+  | Error _ -> ());
+  (* ... raised by lookup as Not_applicable, the same exception as
+     Sdfg_ir.Errors' *)
+  (match Transform.Std.lookup "NoSuchTransformation" with
+  | _ -> Alcotest.fail "unknown transformation found"
   | exception Sdfg_ir.Errors.Not_applicable _ -> ());
   apply_ok s "MapReduceFusion";
   Alcotest.(check int) "one step recorded" 1 (List.length (Session.history s))
