@@ -1630,22 +1630,17 @@ let workloads_bench () =
     Interp.Exec.Config.(
       default |> with_engine Interp.Plan.compiled |> with_auto_domains ~cap:4)
   in
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    s.(Array.length s / 2)
-  in
+  (* median wall of [runs] runs, and the [out] tensor of the last *)
   let time_variant build symbols args_of out =
-    let g = build () in
-    let args = ref (args_of ()) in
-    let samples =
-      Array.init runs (fun _ ->
-          args := args_of ();
-          let t0 = Unix.gettimeofday () in
-          ignore (Interp.Exec.run g ~config ~symbols ~args:!args);
-          Unix.gettimeofday () -. t0)
+    let last = ref [] in
+    let res =
+      Interp.Profile.run ~config ~warmup:0 ~repeat:runs ~symbols
+        ~args_for:(fun () ->
+          last := args_of ();
+          !last)
+        (build ())
     in
-    (median samples, List.assoc out !args)
+    (Interp.Profile.wall_median res, List.assoc out !last)
   in
   let bench_family (family, base_name, base_build, opt_name, opt_build,
                     symbols, args_of, out) =

@@ -687,8 +687,6 @@ let pipeline_code = function
   | Pipeline _ -> "pipeline"
   | No_pipeline r -> r.r_code
 
-let pipeline_reason = function Pipeline _ -> None | No_pipeline r -> Some r
-
 let analyze g = List.concat_map (analyze_state g) (Sdfg.states g)
 
 let verdict_of g st entry = (analyze_map g st entry).mr_verdict
@@ -711,8 +709,6 @@ let verdict_code = function
   | Parallel { accumulate = []; privatize = [] } -> "parallel"
   | Parallel { accumulate = _ :: _; _ } -> "parallel-accumulate"
   | Parallel _ -> "parallel-private"
-
-let pp_reason ppf r = Fmt.pf ppf "%s (%s)" r.r_code r.r_detail
 
 let pp_class ppf c = Fmt.string ppf (class_name c)
 

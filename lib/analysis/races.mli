@@ -70,9 +70,6 @@ val analyze_map : Sdfg_ir.Defs.sdfg -> Sdfg_ir.Defs.state -> int -> map_report
 (** Analyze one map scope ([int] is the entry node id).
     @raise Invalid_argument if the node is not a map entry. *)
 
-val analyze_state : Sdfg_ir.Defs.sdfg -> Sdfg_ir.Defs.state -> map_report list
-(** Reports for every map entry of the state, in node-id order. *)
-
 val analyze : Sdfg_ir.Defs.sdfg -> map_report list
 (** Reports for every map of every state, in state order. *)
 
@@ -118,14 +115,9 @@ val analyze_pipeline :
 val pipeline_code : pipeline_verdict -> string
 (** ["pipeline"] or the rejection reason code. *)
 
-val pipeline_reason : pipeline_verdict -> reason option
-
-val class_name : access_class -> string
 val verdict_code : verdict -> string
 (** ["parallel"], ["parallel-accumulate"], ["parallel-private"] or the
     serial reason code. *)
 
-val pp_reason : Format.formatter -> reason -> unit
-val pp_class : Format.formatter -> access_class -> unit
 val pp_report : Format.formatter -> map_report -> unit
 val pp_table : Format.formatter -> map_report list -> unit

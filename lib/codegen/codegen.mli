@@ -13,10 +13,6 @@ module Fpga = Fpga
 
 type target = Common.target = Target_cpu | Target_gpu | Target_fpga
 
-val runtime_header : string
-(** Contents of [sdfg_runtime.h]: the thin stream-container runtime
-    every generated translation unit includes (paper Fig. 1). *)
-
 val generate :
   ?validate:bool -> target -> Sdfg_ir.Sdfg.t -> (string * string) list
 (** [(filename, contents)] pairs for the chosen target, always led by

@@ -10,13 +10,9 @@ open Defs
 type t = bexp
 
 let true_ = Btrue
-let false_ = Bfalse
-let not_ b = Bnot b
 let and_ a b = Band (a, b)
-let or_ a b = Bor (a, b)
 let cmp op a b = Bcmp (op, a, b)
 
-let eq a b = Bcmp (Ceq, a, b)
 let ne a b = Bcmp (Cne, a, b)
 let lt a b = Bcmp (Clt, a, b)
 let le a b = Bcmp (Cle, a, b)
@@ -57,7 +53,7 @@ let rec subst f = function
   | Bor (x, y) -> Bor (subst f x, subst f y)
   | Bcmp (op, a, b) -> Bcmp (op, Expr.subst f a, Expr.subst f b)
 
-let negate = not_
+let negate b = Bnot b
 
 let cmp_name = function
   | Ceq -> "==" | Cne -> "!=" | Clt -> "<" | Cle -> "<=" | Cgt -> ">"

@@ -7,13 +7,9 @@
 type t = Defs.bexp
 
 val true_ : t
-val false_ : t
-val not_ : t -> t
 val and_ : t -> t -> t
-val or_ : t -> t -> t
 val cmp : Defs.cmpop -> Symbolic.Expr.t -> Symbolic.Expr.t -> t
 
-val eq : Symbolic.Expr.t -> Symbolic.Expr.t -> t
 val ne : Symbolic.Expr.t -> Symbolic.Expr.t -> t
 val lt : Symbolic.Expr.t -> Symbolic.Expr.t -> t
 val le : Symbolic.Expr.t -> Symbolic.Expr.t -> t

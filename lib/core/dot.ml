@@ -49,13 +49,6 @@ let state_body buf prefix st =
            (edge_attrs e)))
     (State.edges st)
 
-let of_state (st : state) : string =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Fmt.str "digraph %S {\n" st.st_label);
-  state_body buf "s" st;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
 let of_sdfg (g : sdfg) : string =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Fmt.str "digraph %S {\n  compound=true;\n" g.g_name);
@@ -104,11 +97,3 @@ let of_sdfg (g : sdfg) : string =
     (Sdfg.transitions g);
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let write_file path content =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc content)
-
-let save_sdfg g path = write_file path (of_sdfg g)

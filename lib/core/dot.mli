@@ -3,11 +3,5 @@
     entry/exit, dashed edges for write-conflict-resolution memlets, and
     one cluster per state with blue inter-state transition edges. *)
 
-val of_state : Defs.state -> string
-(** A single state as a standalone digraph. *)
-
 val of_sdfg : Defs.sdfg -> string
 (** The whole SDFG: state clusters plus the transition state machine. *)
-
-val write_file : string -> string -> unit
-val save_sdfg : Defs.sdfg -> string -> unit

@@ -38,22 +38,10 @@ let dyn ?wcr data subset : t =
 let data (m : t) = m.Defs.m_data
 let subset (m : t) = m.Defs.m_subset
 let wcr (m : t) = m.Defs.m_wcr
-let is_dynamic (m : t) = m.Defs.m_dynamic
 
 (* Volume in elements; dynamic memlets report [None]. *)
 let volume (m : t) =
   if m.Defs.m_dynamic then None else Some m.Defs.m_accesses
-
-let volume_bytes ~dtype (m : t) =
-  Option.map
-    (fun v ->
-      Expr.mul v (Expr.int (Tasklang.Types.dtype_size_bytes dtype)))
-    (volume m)
-
-let with_data data (m : t) = { m with Defs.m_data = data }
-let with_subset subset (m : t) =
-  { m with Defs.m_subset = subset; m_accesses = Subset.volume subset }
-let with_wcr wcr (m : t) = { m with Defs.m_wcr = wcr }
 
 let map_subsets f (m : t) =
   { m with

@@ -30,17 +30,10 @@ val dyn : ?wcr:Defs.wcr -> string -> Symbolic.Subset.t -> t
 val data : t -> string
 val subset : t -> Symbolic.Subset.t
 val wcr : t -> Defs.wcr option
-val is_dynamic : t -> bool
 
 val volume : t -> Symbolic.Expr.t option
 (** Elements moved; [None] for dynamic memlets. *)
 
-val volume_bytes : dtype:Defs.dtype -> t -> Symbolic.Expr.t option
-
-val with_data : string -> t -> t
-val with_subset : Symbolic.Subset.t -> t -> t
-val with_wcr : Defs.wcr option -> t -> t
-val map_subsets : (Symbolic.Subset.t -> Symbolic.Subset.t) -> t -> t
 val subst_list : (string * Symbolic.Expr.t) list -> t -> t
 val free_syms : t -> string list
 val equal : t -> t -> bool

@@ -139,17 +139,3 @@ let rec propagate (g : sdfg) =
         (State.nodes st);
       propagate_state st)
     (Sdfg.states g)
-
-(* Total data movement volume of a state in elements: the sum of memlet
-   volumes of top-level edges (scope-internal edges are already accounted
-   for by propagation).  Dynamic memlets contribute zero here and are
-   reported separately. *)
-let state_movement_volume (st : state) : Expr.t =
-  let parents = State.scope_parents st in
-  State.edges st
-  |> List.filter (fun (e : edge) ->
-         Hashtbl.find parents e.e_src = None
-         || Hashtbl.find parents e.e_dst = None)
-  |> List.filter_map (fun (e : edge) -> e.e_memlet)
-  |> List.map (fun m -> if m.m_dynamic then Expr.zero else m.m_accesses)
-  |> Expr.sum

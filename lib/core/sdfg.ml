@@ -120,9 +120,6 @@ let out_transitions (g : t) sid =
 let in_transitions (g : t) sid =
   List.filter (fun e -> e.is_dst = sid) g.g_istate_edges
 
-let remove_transition (g : t) (e : istate_edge) =
-  g.g_istate_edges <- List.filter (fun e' -> e' != e) g.g_istate_edges
-
 let replace_transition (g : t) (old_e : istate_edge) (new_e : istate_edge) =
   g.g_istate_edges <-
     List.map (fun e -> if e == old_e then new_e else e) g.g_istate_edges

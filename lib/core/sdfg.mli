@@ -85,7 +85,6 @@ val add_transition :
 val transitions : t -> Defs.istate_edge list
 val out_transitions : t -> int -> Defs.istate_edge list
 val in_transitions : t -> int -> Defs.istate_edge list
-val remove_transition : t -> Defs.istate_edge -> unit
 
 val replace_transition : t -> Defs.istate_edge -> Defs.istate_edge -> unit
 (** Physical-equality replacement, for in-place transformation edits. *)

@@ -30,7 +30,6 @@ let touch (s : t) =
 
 let id (s : t) = s.st_id
 let label (s : t) = s.st_label
-let set_label (s : t) l = s.st_label <- l
 
 (* --- node and edge CRUD ----------------------------------------------- *)
 
@@ -45,8 +44,6 @@ let node (s : t) nid =
   match Hashtbl.find_opt s.st_nodes nid with
   | Some n -> n
   | None -> invalid "state %S: no node %d" s.st_label nid
-
-let has_node (s : t) nid = Hashtbl.mem s.st_nodes nid
 
 let replace_node (s : t) nid n =
   if not (Hashtbl.mem s.st_nodes nid) then

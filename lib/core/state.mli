@@ -11,7 +11,6 @@ type t = Defs.state
 val create : ?label:string -> int -> t
 val id : t -> int
 val label : t -> string
-val set_label : t -> string -> unit
 
 (** {1 Nodes and edges} *)
 
@@ -20,8 +19,6 @@ val add_node : t -> Defs.node -> int
 
 val node : t -> int -> Defs.node
 (** @raise Defs.Invalid_sdfg on an unknown identifier. *)
-
-val has_node : t -> int -> bool
 
 val replace_node : t -> int -> Defs.node -> unit
 (** Swap a node's payload in place, keeping its identity and edges. *)

@@ -312,8 +312,6 @@ let error_to_string e =
   | Some st -> Printf.sprintf "[%s/%s] %s" e.e_sdfg st e.e_msg
   | None -> Printf.sprintf "[%s] %s" e.e_sdfg e.e_msg
 
-let pp_error ppf e = Fmt.string ppf (error_to_string e)
-
 let state_errors g st : string list =
   let errs = ref [] in
   let guard f = try f () with Invalid_sdfg m -> errs := m :: !errs in
@@ -412,5 +410,3 @@ let rec errors (g : sdfg) : error list =
   top_errors @ state_level @ nested_level
 
 let validate g = match errors g with [] -> Ok () | errs -> Error errs
-
-let validate_exn = check

@@ -9,8 +9,6 @@ val check : Defs.sdfg -> unit
     @raise Defs.Invalid_sdfg with a descriptive message on the first
     violation. *)
 
-val check_state : Defs.sdfg -> Defs.state -> unit
-
 val is_valid : Defs.sdfg -> bool
 (** Boolean convenience wrapper around {!check}. *)
 
@@ -34,9 +32,4 @@ val errors : Defs.sdfg -> error list
 
 val validate : Defs.sdfg -> (unit, error list) result
 
-val validate_exn : Defs.sdfg -> unit
-(** Alias of {!check}: raises {!Defs.Invalid_sdfg} on the first
-    violation. *)
-
 val error_to_string : error -> string
-val pp_error : Format.formatter -> error -> unit

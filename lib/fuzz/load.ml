@@ -65,13 +65,7 @@ let outputs_match g config (outputs : (string * Tensor.t) list) expected =
   let approx =
     Oracle.float_accumulation g && Exec.Config.resolved_domains config > 1
   in
-  List.for_all
-    (fun (name, want) ->
-      match List.assoc_opt name outputs with
-      | None -> false
-      | Some got ->
-        if approx then Tensor.approx_equal got want else Tensor.equal got want)
-    expected
+  Oracle.diff ~approx expected outputs = None
 
 (* Direct verification runs execute in this process, and the compiled
    engine's domain pool is not reentrant — one worker at a time may be

@@ -73,19 +73,31 @@ let rec float_accumulation g =
 
 (* --- running and comparing -------------------------------------------- *)
 
-(* Run one engine over deterministic inputs; the returned bindings are the
-   caller tensors Exec.run mutated in place, i.e. the program outputs.
-   Domains are pinned to 1: these oracles state sequential contracts and
-   must not wobble under an ambient SDFG_DOMAINS; the parallel oracle
-   below pins its own domain counts. *)
-let exec engine g =
+module Config = Interp.Exec.Config
+
+(* Run [g] under [config] over deterministic inputs, returning the
+   caller tensors Exec.run mutated in place (the program outputs) and
+   the run's report. *)
+let run config g =
   let symbols = Gen.symbols_for g in
   let args = Interp.Profile.make_args ~symbols g in
-  let config =
-    Interp.Exec.Config.(default |> with_engine engine |> with_domains 1)
-  in
-  ignore (Interp.Exec.run ~config ~symbols ~args g);
-  args
+  let r = Interp.Exec.run ~config ~symbols ~args g in
+  (args, r)
+
+(* The compiled engine at [d] domains; [kernels] selects between the
+   bulk-kernel path (default) and the pure closure path. *)
+let compiled ?(kernels = true) d =
+  Config.(default |> with_engine `Compiled |> with_kernels kernels
+          |> with_domains d)
+
+(* The compiled engine under the predictive domain policy capped at 4. *)
+let auto ?kernels () =
+  compiled ?kernels 1 |> Config.with_auto_domains ~cap:4
+
+(* The reference engine.  Domains are pinned to 1 here and in
+   [compiled 1]: the sequential oracles must not wobble under an
+   ambient SDFG_DOMAINS; the parallel oracles pin their own counts. *)
+let reference = Config.(default |> with_domains 1)
 
 let first_diff a b =
   let fa = Tensor.to_float_list a and fb = Tensor.to_float_list b in
@@ -111,35 +123,6 @@ let diff ~approx base got =
         else Some (Fmt.str "container %s diverges (%s)" name (first_diff t t')))
   in
   go base
-
-(* Run the compiled engine at a given domain count, returning both the
-   output tensors and the run's instrumentation counters.  [kernels]
-   selects between the bulk-kernel path (default) and the pure closure
-   path. *)
-let exec_compiled ?(kernels = true) ~domains g =
-  let symbols = Gen.symbols_for g in
-  let args = Interp.Profile.make_args ~symbols g in
-  let config =
-    Interp.Exec.Config.(
-      default |> with_engine `Compiled |> with_kernels kernels
-      |> with_domains domains)
-  in
-  let r = Interp.Exec.run ~config ~symbols ~args g in
-  (args, r.Obs.Report.r_counters)
-
-(* Run the compiled engine under the predictive domain policy capped at
-   [cap], returning outputs, counters and the full report (for the
-   decision-consistency checks). *)
-let exec_predictive ?(kernels = true) ~cap g =
-  let symbols = Gen.symbols_for g in
-  let args = Interp.Profile.make_args ~symbols g in
-  let config =
-    Interp.Exec.Config.(
-      default |> with_engine `Compiled |> with_kernels kernels
-      |> with_auto_domains ~cap)
-  in
-  let r = Interp.Exec.run ~config ~symbols ~args g in
-  (args, r.Obs.Report.r_counters, r)
 
 (* Internal consistency of a predictive run's parallel report section:
    the policy label, every decision's worker count within [1, cap],
@@ -184,8 +167,8 @@ let decision_inconsistency ~cap (rep : Obs.Report.t) =
 (* --- the oracles -------------------------------------------------------- *)
 
 let engine_oracle g =
-  let base = exec `Reference g in
-  let got = exec `Compiled g in
+  let base, _ = run reference g in
+  let got, _ = run (compiled 1) g in
   match diff ~approx:false base got with
   | None -> Pass "reference = compiled (bit-exact)"
   | Some d -> Fail ("engine divergence: " ^ d)
@@ -199,8 +182,8 @@ let roundtrip_oracle g =
     let s2 = Serialize.to_string g2 in
     if s1 <> s2 then Fail "serialization is not a fixpoint (print∘parse∘print)"
     else begin
-      let base = exec `Reference g in
-      let got = exec `Reference g2 in
+      let base, _ = run reference g in
+      let got, _ = run reference g2 in
       match diff ~approx:false base got with
       | None -> Pass "round-trip preserves semantics and text"
       | Some d -> Fail ("round-trip divergence: " ^ d)
@@ -212,7 +195,7 @@ let max_candidates = 4
 
 let xform_oracle g =
   let approx = float_accumulation g in
-  let base = exec `Reference g in
+  let base, _ = run reference g in
   let applied = ref 0 in
   let failures = ref [] in
   let record fmt = Fmt.kstr (fun m -> failures := m :: !failures) fmt in
@@ -232,18 +215,18 @@ let xform_oracle g =
           record "%s[%d] produced an invalid graph: %s" x.x_name i m
         | () -> (
           incr applied;
-          match exec `Reference g' with
+          match run reference g' with
           | exception Interp.Exec.Runtime_error m ->
             record "%s[%d] crashed the reference engine: %s" x.x_name i m
-          | got -> (
+          | got, _ -> (
             match diff ~approx base got with
             | Some d -> record "%s[%d] changed the output: %s" x.x_name i d
             | None -> (
               (* same graph through both engines: bit equality, always *)
-              match exec `Compiled g' with
+              match run (compiled 1) g' with
               | exception Interp.Exec.Runtime_error m ->
                 record "%s[%d] crashed the compiled engine: %s" x.x_name i m
-              | got_c -> (
+              | got_c, _ -> (
                 match diff ~approx:false got got_c with
                 | Some d ->
                   record "%s[%d] engines diverge post-transform: %s" x.x_name
@@ -260,7 +243,7 @@ let xform_oracle g =
 let opt_oracle g =
   let symbols = Gen.symbols_for g in
   let approx = float_accumulation g in
-  let base = exec `Reference g in
+  let base, _ = run reference g in
   match
     let cfg =
       Opt.Search.config ~target:Machine.Cost.Tcpu ~symbols
@@ -281,10 +264,10 @@ let opt_oracle g =
              (String.trim (Xform.chain_to_string r.r_chain))
              m)
       | Ok () -> (
-        match exec `Reference g' with
+        match run reference g' with
         | exception Interp.Exec.Runtime_error m ->
           Fail (Fmt.str "optimized graph crashed: %s" m)
-        | got -> (
+        | got, _ -> (
           match diff ~approx base got with
           | Some d ->
             Fail
@@ -305,8 +288,10 @@ let opt_oracle g =
    counter totals must be identical at every domain count. *)
 let parallel_crossval_oracle g =
   let approx = float_accumulation g in
-  let base = exec `Reference g in
-  let seq, seq_counters = exec_compiled ~domains:1 g in
+  let base, _ = run reference g in
+  let seq, { Obs.Report.r_counters = seq_counters; _ } =
+    run (compiled 1) g
+  in
   match diff ~approx:false base seq with
   | Some d -> Fail ("engine divergence (sequential): " ^ d)
   | None ->
@@ -315,10 +300,10 @@ let parallel_crossval_oracle g =
          may pick any worker count per map, so outputs and counters must
          still match sequential, and the report's decision records must
          be internally consistent *)
-      match exec_predictive ~cap:4 g with
+      match run (auto ()) g with
       | exception Interp.Exec.Runtime_error m ->
         Fail ("predictive run crashed: " ^ m)
-      | got, counters, rep -> (
+      | got, ({ Obs.Report.r_counters = counters; _ } as rep) -> (
         if counters <> seq_counters then
           Fail
             (Fmt.str
@@ -344,10 +329,10 @@ let parallel_crossval_oracle g =
     let rec at = function
       | [] -> predictive ()
       | d :: rest -> (
-        match exec_compiled ~domains:d g with
+        match run (compiled d) g with
         | exception Interp.Exec.Runtime_error m ->
           Fail (Fmt.str "parallel run crashed at %d domains: %s" d m)
-        | got, counters -> (
+        | got, { Obs.Report.r_counters = counters; _ } -> (
           if counters <> seq_counters then
             Fail
               (Fmt.str
@@ -375,22 +360,22 @@ let parallel_crossval_oracle g =
    bumps exactly what [T] closure iterations would. *)
 let kernel_crossval_oracle g =
   let approx = float_accumulation g in
-  let base = exec `Reference g in
-  let closure_seq, _ = exec_compiled ~kernels:false ~domains:1 g in
+  let base, _ = run reference g in
+  let closure_seq, _ = run (compiled ~kernels:false 1) g in
   match diff ~approx:false base closure_seq with
   | Some d -> Fail ("closure path diverges from reference: " ^ d)
   | None ->
     let predictive () =
       (* both paths under the predictive policy (cap 4): kernel-kind
          pricing must not change what gets computed *)
-      match exec_predictive ~kernels:false ~cap:4 g with
+      match run (auto ~kernels:false ()) g with
       | exception Interp.Exec.Runtime_error m ->
         Fail ("predictive closure run crashed: " ^ m)
-      | closure, cc, crep -> (
-        match exec_predictive ~kernels:true ~cap:4 g with
+      | closure, ({ Obs.Report.r_counters = cc; _ } as crep) -> (
+        match run (auto ()) g with
         | exception Interp.Exec.Runtime_error m ->
           Fail ("predictive kernel run crashed: " ^ m)
-        | kern, kc, krep -> (
+        | kern, ({ Obs.Report.r_counters = kc; _ } as krep) -> (
           if cc <> kc then
             Fail
               (Fmt.str
@@ -417,14 +402,14 @@ let kernel_crossval_oracle g =
     let rec at = function
       | [] -> predictive ()
       | d :: rest -> (
-        match exec_compiled ~kernels:false ~domains:d g with
+        match run (compiled ~kernels:false d) g with
         | exception Interp.Exec.Runtime_error m ->
           Fail (Fmt.str "closure path crashed at %d domains: %s" d m)
-        | closure, cc -> (
-          match exec_compiled ~kernels:true ~domains:d g with
+        | closure, { Obs.Report.r_counters = cc; _ } -> (
+          match run (compiled d) g with
           | exception Interp.Exec.Runtime_error m ->
             Fail (Fmt.str "kernel path crashed at %d domains: %s" d m)
-          | kern, kc -> (
+          | kern, { Obs.Report.r_counters = kc; _ } -> (
             if cc <> kc then
               Fail
                 (Fmt.str
@@ -461,7 +446,7 @@ let stream_crossval_oracle g =
   let chunk = 1 + ((h lsr 5) mod 9) in
   let values = Workloads.Streaming.sample_values n (1 + (h land 0xffff)) in
   let config engine d =
-    Interp.Exec.Config.(
+    Config.(
       default |> with_engine engine |> with_domains d
       |> with_stream_chunk chunk)
   in

@@ -67,3 +67,13 @@ val float_accumulation : Sdfg_ir.Sdfg.t -> bool
 (** Whether the graph (including nested SDFGs) contains a float WCR
     memlet or float Reduce node — the trigger for approximate
     comparison in transformation oracles. *)
+
+val diff :
+  approx:bool ->
+  (string * Interp.Tensor.t) list ->
+  (string * Interp.Tensor.t) list ->
+  string option
+(** [diff ~approx base got]: the first container of [base] that [got]
+    lacks or whose tensor differs — bitwise, or by
+    {!Interp.Tensor.approx_equal} under [approx] — described; [None]
+    when all match. *)

@@ -290,6 +290,20 @@ let channel_capacity env (config : Config.t) name =
       if n >= 1 then n else 256
     | _ -> 256)
 
+(* Push [vs] onto stream [s] in order, one [stream_pushes] each: how a
+   batch run pre-loads a stream. *)
+let push_stream env s (vs : value array) =
+  let q = stream_queue s [] in
+  Array.iter
+    (fun v ->
+      env.stats.stream_pushes <- env.stats.stream_pushes + 1;
+      Queue.push v q)
+    vs
+
+(* Stream [s]'s buffered elements in pop order, left in place. *)
+let stream_elements s : value array =
+  Array.of_seq (Seq.concat_map Queue.to_seq (Array.to_seq s.qs))
+
 (* Run [env]'s graph in streaming mode.  [source] is polled for input
    chunks ([None] = end of stream) fed into [input]'s channel; every
    consume scope becomes a long-lived worker connected to its peers by
@@ -298,43 +312,27 @@ let channel_capacity env (config : Config.t) name =
    The overlapped schedule only engages when {!Analysis.Races.analyze_pipeline}
    proves it bit-identical to the batch schedule (single state, each
    channel single-producer single-consumer, stages acyclic with disjoint
-   non-stream footprints).  Anything else degrades to batch emulation:
-   drain the source fully into the input stream, run the state machine
-   once, hand the whole output stream to the sink in one chunk.  Returns
-   per-channel and per-worker statistics — empty on the degraded path. *)
+   non-stream footprints).  Anything else degrades to the batch run:
+   drain the source, pre-load it as [Instance.run ~stream_args] would,
+   run the state machine once and hand the output's elements to the
+   sink in one chunk.  Returns per-channel and per-worker statistics —
+   empty on the degraded path. *)
 let run_streaming_env env (config : Config.t) ~input ~output ~source ~sink :
     Obs.Report.channel_stat list * Obs.Report.worker_stat list =
   let degrade () =
-    (match get_container env input with
-    | Strm s ->
-      let rec feed () =
-        match source () with
-        | None -> ()
-        | Some chunk ->
-          Array.iter
-            (fun v ->
-              env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-              Queue.push v (stream_queue s []))
-            chunk;
-          feed ()
-      in
-      feed ()
-    | _ -> runtime_error "streaming: input %S is not a stream" input);
+    (* resolved before [source] is polled: a serve session's source
+       blocks on its client until the stream closes *)
+    let s = get_stream env input in
+    let rec drain () =
+      match source () with
+      | None -> ()
+      | Some chunk ->
+        push_stream env s chunk;
+        drain ()
+    in
+    drain ();
     run_state_machine env;
-    (match output with
-    | None -> ()
-    | Some out -> (
-      match get_container env out with
-      | Strm s ->
-        let buf = ref [] in
-        Array.iter
-          (fun q ->
-            while not (Queue.is_empty q) do
-              buf := Queue.pop q :: !buf
-            done)
-          s.qs;
-        sink (Array.of_list (List.rev !buf))
-      | _ -> runtime_error "streaming: output %S is not a stream" out));
+    Option.iter (fun out -> sink (stream_elements (get_stream env out))) output;
     ([], [])
   in
   if Sdfg.num_states env.g <> 1 then degrade ()
@@ -672,54 +670,39 @@ module Instance = struct
         | _ -> ())
       args
 
-  (* One run: copy the request's tensors in, reset every piece of
-     mutable run state the plans close over, execute, copy results back
-     into the caller's tensors (preserving {!run}'s mutate-in-place
-     contract).  Bit-identical to a fresh [run] with the same config.
-     [stream_args] pre-loads stream containers element-by-element before
-     the state machine starts — the batch baseline the streaming
-     cross-validation oracle compares against. *)
-  let run ?(args = []) ?(stream_args = []) (inst : t) : Obs.Report.t =
+  (* The one run wrapper: under the instance's lock, [prepare], pre-load
+     [stream_args], time [body], copy results back into the caller's
+     tensors ({!run}'s mutate-in-place contract) and report.  The
+     pre-load is outside [wall_s]. *)
+  let locked_run (inst : t) ~args ~stream_args body : Obs.Report.t =
     Mutex.lock inst.i_lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock inst.i_lock) @@ fun () ->
     let env = inst.i_env in
     prepare inst args;
     List.iter
-      (fun (name, (vs : value array)) ->
-        match Hashtbl.find_opt env.containers name with
-        | Some (Strm s) ->
-          Array.iter
-            (fun v ->
-              env.stats.stream_pushes <- env.stats.stream_pushes + 1;
-              Queue.push v (stream_queue s []))
-            vs
-        | _ ->
-          runtime_error "instance %S: stream argument %S is not a stream"
-            env.g.g_name name)
+      (fun (name, vs) -> push_stream env (get_stream env name) vs)
       stream_args;
     let t0 = Obs.Collect.now () in
-    run_state_machine env;
+    let channels, workers = body env in
     let wall_s = Obs.Collect.now () -. t0 in
     copy_out env args;
     report env ~engine:(engine_name inst.i_config.Config.engine) ~wall_s
-      ~channels:[] ~workers:[]
+      ~channels ~workers
+
+  (* One batch run, bit-identical to a fresh [run] with the same config.
+     [stream_args] pre-loads stream containers element-by-element before
+     the state machine starts — the batch baseline the streaming
+     cross-validation oracle compares against. *)
+  let run ?(args = []) ?(stream_args = []) (inst : t) : Obs.Report.t =
+    locked_run inst ~args ~stream_args (fun env ->
+        run_state_machine env;
+        ([], []))
 
   (* Non-destructive peek at a stream container's buffered contents, in
      pop order.  How batch runs expose what streaming runs hand to the
      sink. *)
   let stream_contents (inst : t) name : value array =
-    match Hashtbl.find_opt inst.i_env.containers name with
-    | Some (Strm s) ->
-      let buf = ref [] in
-      Array.iter
-        (fun q -> Queue.iter (fun v -> buf := v :: !buf) q)
-        s.qs;
-      Array.of_list (List.rev !buf)
-    | Some _ ->
-      runtime_error "instance %S: container %S is not a stream"
-        inst.i_env.g.g_name name
-    | None ->
-      runtime_error "instance %S: no container %S" inst.i_env.g.g_name name
+    stream_elements (get_stream inst.i_env name)
 
   (* Streaming run: feed [input] incrementally from [source] (chunks of
      elements, [None] = end of stream), emit [output] incrementally to
@@ -732,16 +715,6 @@ module Instance = struct
   let run_streaming ?(args = []) ~input ?output
       ?(sink = fun (_ : value array) -> ()) ~source (inst : t) :
       Obs.Report.t =
-    Mutex.lock inst.i_lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock inst.i_lock) @@ fun () ->
-    let env = inst.i_env in
-    prepare inst args;
-    let t0 = Obs.Collect.now () in
-    let channels, workers =
-      run_streaming_env env inst.i_config ~input ~output ~source ~sink
-    in
-    let wall_s = Obs.Collect.now () -. t0 in
-    copy_out env args;
-    report env ~engine:(engine_name inst.i_config.Config.engine) ~wall_s
-      ~channels ~workers
+    locked_run inst ~args ~stream_args:[] (fun env ->
+        run_streaming_env env inst.i_config ~input ~output ~source ~sink)
 end

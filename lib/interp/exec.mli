@@ -212,8 +212,9 @@ module Instance : sig
       final chunk.  Both paths are bit-identical to
       [run ~stream_args:[(input, elements)]] followed by
       {!stream_contents} on the output.
-      @raise Runtime_error on unknown containers or a worker failure
-      (first error rethrown after shutdown). *)
+      @raise Runtime_error on unknown containers — an [input] that is
+      not a stream container before [source] is polled — or a worker
+      failure (first error rethrown after shutdown). *)
 
   val stream_contents : t -> string -> Tasklang.Types.value array
   (** Non-destructive peek at a stream container's buffered elements in

@@ -151,8 +151,10 @@ val eval_expr : env -> (string * int) list -> Symbolic.Expr.t -> int
 (** Evaluate under scope parameters, then interstate symbols, then
     rank-0 containers / stream lengths (data-dependent control flow). *)
 
-val get_container : env -> string -> container
-(** @raise Runtime_error when the environment binds no such container. *)
+val get_stream : env -> string -> stream_rt
+(** The batch stream container [name].
+    @raise Runtime_error when the environment binds no such container or
+    it is not a batch stream. *)
 
 val stream_queue : stream_rt -> int list -> Tasklang.Types.value Queue.t
 (** The queue of a (possibly multi-dimensional) stream at an index. *)

@@ -71,12 +71,6 @@ let length c =
   Mutex.unlock c.lock;
   n
 
-let is_closed c =
-  Mutex.lock c.lock;
-  let b = c.closed in
-  Mutex.unlock c.lock;
-  b
-
 let push c v =
   Mutex.lock c.lock;
   if c.closed then begin

@@ -42,8 +42,6 @@ val name : 'a t -> string
 (** Current number of buffered elements. *)
 val length : 'a t -> int
 
-val is_closed : 'a t -> bool
-
 (** Blocks while full; raises {!Closed} if the channel is (or
     becomes, while waiting) closed. *)
 val push : 'a t -> 'a -> unit

@@ -49,8 +49,6 @@ let dtype t = t.dtype
 let rank t = Array.length t.shape
 let num_elements t = num_elements_shape t.shape
 
-let size_bytes t = num_elements t * dtype_size_bytes t.dtype
-
 (* Whether this tensor is a dense row-major view starting at offset 0 of
    its own buffer (i.e., not a strided alias). *)
 let is_contiguous t =
@@ -96,7 +94,6 @@ let get t idx = get_linear t (linear_index t idx)
 let set t idx v = set_linear t (linear_index t idx) v
 
 let get_scalar t = get_linear t t.offset
-let set_scalar t v = set_linear t t.offset v
 
 (* Walk a view's buffer offsets in logical row-major order.  The
    odometer carries strides, not indices-to-offset recomputation, so the
@@ -127,35 +124,6 @@ let iter_view_offsets t f =
     end
   end
 
-(* Lockstep walk of two same-shaped views. *)
-let iter2_view_offsets a b f =
-  let n = Array.length a.shape in
-  if n = 0 then f a.offset b.offset
-  else begin
-    let total = num_elements a in
-    if total > 0 then begin
-      let idx = Array.make n 0 in
-      let la = ref a.offset and lb = ref b.offset in
-      for _ = 1 to total do
-        f !la !lb;
-        let rec carry d =
-          if d >= 0 then begin
-            idx.(d) <- idx.(d) + 1;
-            la := !la + a.strides.(d);
-            lb := !lb + b.strides.(d);
-            if idx.(d) >= a.shape.(d) then begin
-              la := !la - (a.shape.(d) * a.strides.(d));
-              lb := !lb - (b.shape.(d) * b.strides.(d));
-              idx.(d) <- 0;
-              carry (d - 1)
-            end
-          end
-        in
-        carry (n - 1)
-      done
-    end
-  end
-
 let fill t v =
   let n = num_elements t in
   if n > 0 then
@@ -168,61 +136,6 @@ let fill t v =
       let x = to_int v in
       if is_dense t then Array.fill a t.offset n x
       else iter_view_offsets t (fun li -> a.(li) <- x)
-
-(* In-place [t := alpha * t]. *)
-let scale t ~alpha =
-  let n = num_elements t in
-  if n > 0 then
-    match t.buf with
-    | Fbuf a ->
-      let c = to_float alpha in
-      if is_dense t then
-        for i = t.offset to t.offset + n - 1 do
-          a.(i) <- c *. a.(i)
-        done
-      else iter_view_offsets t (fun li -> a.(li) <- c *. a.(li))
-    | Ibuf a ->
-      let c = to_int alpha in
-      if is_dense t then
-        for i = t.offset to t.offset + n - 1 do
-          a.(i) <- c * a.(i)
-        done
-      else iter_view_offsets t (fun li -> a.(li) <- c * a.(li))
-
-(* In-place [y := alpha * x + y], elementwise over same-shaped views of
-   matching representation.  Overlapping views get loop-order semantics
-   (each element of [y] is updated once, in logical order). *)
-let axpy ~alpha ~x ~y =
-  if x.shape <> y.shape then
-    bounds_error "axpy: shape mismatch ([%s] vs [%s])"
-      (String.concat "x" (Array.to_list (Array.map string_of_int x.shape)))
-      (String.concat "x" (Array.to_list (Array.map string_of_int y.shape)));
-  let n = num_elements x in
-  if n > 0 then
-    match x.buf, y.buf with
-    | Fbuf xb, Fbuf yb ->
-      let a = to_float alpha in
-      if is_dense x && is_dense y then begin
-        let xo = x.offset and yo = y.offset in
-        for i = 0 to n - 1 do
-          yb.(yo + i) <- yb.(yo + i) +. (a *. xb.(xo + i))
-        done
-      end
-      else
-        iter2_view_offsets x y (fun lx ly ->
-            yb.(ly) <- yb.(ly) +. (a *. xb.(lx)))
-    | Ibuf xb, Ibuf yb ->
-      let a = to_int alpha in
-      if is_dense x && is_dense y then begin
-        let xo = x.offset and yo = y.offset in
-        for i = 0 to n - 1 do
-          yb.(yo + i) <- yb.(yo + i) + (a * xb.(xo + i))
-        done
-      end
-      else
-        iter2_view_offsets x y (fun lx ly ->
-            yb.(ly) <- yb.(ly) + (a * xb.(lx)))
-    | _ -> bounds_error "axpy: dtype mismatch"
 
 (* A strided sub-view: [starts], [counts], [steps] per dimension. *)
 let view t ~starts ~counts ~steps : t =

@@ -27,14 +27,7 @@ val shape : t -> int array
 val dtype : t -> Tasklang.Types.dtype
 val rank : t -> int
 val num_elements : t -> int
-val size_bytes : t -> int
 val is_contiguous : t -> bool
-
-val is_dense : t -> bool
-(** Memory order equals logical row-major order: the elements occupy the
-    single run [offset, offset + num_elements).  Weaker than
-    {!is_contiguous} — a dense window of a larger buffer qualifies — and
-    the predicate behind the [Array.blit] fast path of {!copy_into}. *)
 
 val get : t -> int list -> Tasklang.Types.value
 (** @raise Bounds on rank mismatch or out-of-range indices. *)
@@ -43,21 +36,11 @@ val set : t -> int list -> Tasklang.Types.value -> unit
 val get_linear : t -> int -> Tasklang.Types.value
 val set_linear : t -> int -> Tasklang.Types.value -> unit
 val get_scalar : t -> Tasklang.Types.value
-val set_scalar : t -> Tasklang.Types.value -> unit
 
 val fill : t -> Tasklang.Types.value -> unit
 (** Set every element of the view to [v] (coerced to the buffer's
     representation).  Dense views take one [Array.fill]; strided views
     walk an allocation-free stride odometer. *)
-
-val scale : t -> alpha:Tasklang.Types.value -> unit
-(** In-place [t := alpha * t], elementwise; dense fast path, strided
-    odometer otherwise. *)
-
-val axpy : alpha:Tasklang.Types.value -> x:t -> y:t -> unit
-(** In-place [y := alpha * x + y] over same-shaped views of matching
-    representation; dense fast path when both views are dense.
-    @raise Bounds on shape or representation mismatch. *)
 
 val shares_buffer : t -> t -> bool
 (** Whether two tensors view the same physical allocation. *)

@@ -108,10 +108,6 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-val indirect_connectors : Sdfg_ir.Defs.tasklet -> string list
-(** Connectors accessed through data-dependent indices (taint analysis of
-    the tasklet body) — exposed for tests and diagnostics. *)
-
 val estimate :
   ?opts:options ->
   spec:Spec.t ->
@@ -177,22 +173,6 @@ module Parallel : sig
         (** ["single-domain"], ["zero-trip"], ["below-threshold"] or
             ["profitable"] *)
   }
-
-  val predicted_time_s :
-    ?cal:calibration ->
-    kind:string option ->
-    trips:int ->
-    inner:int ->
-    merge_elems:int ->
-    int ->
-    float
-  (** Modeled wall seconds of one map invocation at the given domain
-      count: work scaled by efficiency-adjusted speedup plus fork,
-      chunk-dealing and accumulator-merge overheads.  [kind] is the bulk
-      kernel the body lowered to ([None] = closure path), [trips] the
-      outermost (chunked) dimension's trip count, [inner] the iterations
-      per outer trip, [merge_elems] the total elements of private WCR
-      accumulators merged after the join. *)
 
   val predict :
     ?cal:calibration ->

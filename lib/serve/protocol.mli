@@ -8,8 +8,6 @@
 
 exception Protocol_error of string
 
-val max_frame_bytes : int
-
 val write_frame : out_channel -> string -> unit
 
 val read_frame : in_channel -> string option
@@ -20,13 +18,6 @@ val read_frame : in_channel -> string option
 
 val tensor_to_json : Interp.Tensor.t -> Obs.Json.t
 val tensor_of_json : Obs.Json.t -> (Interp.Tensor.t, string) result
-
-val value_to_json : Tasklang.Types.value -> Obs.Json.t
-val value_of_json : Obs.Json.t -> (Tasklang.Types.value, string) result
-(** Individual stream elements, same bit-exact discipline as tensors. *)
-
-val values_to_json : Tasklang.Types.value array -> Obs.Json.t
-val values_of_json : Obs.Json.t -> (Tasklang.Types.value array, string) result
 
 val symbols_to_json : (string * int) list -> Obs.Json.t
 val symbols_of_json : Obs.Json.t -> ((string * int) list, string) result

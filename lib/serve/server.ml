@@ -77,7 +77,6 @@ type t = {
 
 let cache srv = srv.srv_cache
 let metrics srv = srv.srv_metrics
-let socket_path srv = srv.srv_socket
 
 let stop srv =
   Mutex.lock srv.lock;

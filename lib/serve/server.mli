@@ -41,7 +41,6 @@ val start :
 
 val cache : t -> Cache.t
 val metrics : t -> Metrics.t
-val socket_path : t -> string
 
 val stop : t -> unit
 (** Ask the daemon to wind down: stop accepting, fail queued requests

@@ -304,14 +304,6 @@ let subst1 name value e =
 let subst_list bindings e =
   subst (fun s -> List.assoc_opt s bindings) e
 
-let rename_syms renaming e =
-  subst
-    (fun s ->
-      match List.assoc_opt s renaming with
-      | Some s' -> Some (Sym s')
-      | None -> None)
-    e
-
 (* --- printing -------------------------------------------------------- *)
 
 let rec pp ppf e =

@@ -84,7 +84,6 @@ val subst1 : string -> t -> t -> t
 (** [subst1 x v e] replaces symbol [x] by [v] in [e]. *)
 
 val subst_list : (string * t) list -> t -> t
-val rename_syms : (string * string) list -> t -> t
 
 val floordiv : int -> int -> int
 val floormod : int -> int -> int

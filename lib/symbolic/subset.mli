@@ -38,7 +38,6 @@ val is_unit_range : range -> bool
 val is_index : t -> bool
 
 val free_syms : t -> string list
-val map_exprs : (Expr.t -> Expr.t) -> t -> t
 val subst : (string -> Expr.t option) -> t -> t
 val subst1 : string -> Expr.t -> t -> t
 val subst_list : (string * Expr.t) list -> t -> t

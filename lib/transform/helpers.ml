@@ -26,13 +26,6 @@ let only_out_edge st nid =
     Xform.not_applicable "node %d has %d out-edges, expected 1" nid
       (List.length es)
 
-let only_in_edge st nid =
-  match State.in_edges st nid with
-  | [ e ] -> e
-  | es ->
-    Xform.not_applicable "node %d has %d in-edges, expected 1" nid
-      (List.length es)
-
 (* Recreate an edge with new endpoints/connectors/memlet. *)
 let reconnect st (e : edge) ~src ~src_conn ~dst ~dst_conn ~memlet =
   State.remove_edge st e.e_id;
@@ -78,21 +71,6 @@ let rename_scope_connectors st nid ~from_ ~to_ =
           (reconnect st e ~src:e.e_src ~src_conn ~dst:e.e_dst ~dst_conn
              ~memlet:e.e_memlet))
     (State.in_edges st nid @ State.out_edges st nid)
-
-(* Fresh interstate symbol name for [g]. *)
-let fresh_symbol g prefix =
-  let used = Sdfg.symbols g @ List.map fst (Sdfg.descs g) in
-  if not (List.mem prefix used) then prefix
-  else
-    let rec go i =
-      let cand = Fmt.str "%s_%d" prefix i in
-      if List.mem cand used then go (i + 1) else cand
-    in
-    go 0
-
-(* Shape (extents) of a subset: one symbolic extent per dimension. *)
-let subset_extents (s : Subset.t) =
-  List.map Subset.num_elements s
 
 (* All map/consume parameters of a state, with their ranges. *)
 let state_params st =

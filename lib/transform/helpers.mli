@@ -23,8 +23,6 @@ val only_out_edge : Sdfg_ir.Defs.state -> int -> Sdfg_ir.Defs.edge
 (** The unique outgoing edge of a node.
     @raise Xform.Not_applicable when the out-degree is not 1. *)
 
-val only_in_edge : Sdfg_ir.Defs.state -> int -> Sdfg_ir.Defs.edge
-
 val reconnect :
   Sdfg_ir.Defs.state ->
   Sdfg_ir.Defs.edge ->
@@ -54,16 +52,6 @@ val rename_scope_connectors :
   Sdfg_ir.Defs.state -> int -> from_:string -> to_:string -> unit
 (** Rename the [IN_<from>]/[OUT_<from>] scope connectors on a node's
     adjacent edges. *)
-
-val fresh_symbol : Sdfg_ir.Sdfg.t -> string -> string
-(** A symbol name not colliding with existing symbols or containers. *)
-
-val subset_extents : Symbolic.Subset.t -> Symbolic.Expr.t list
-(** One symbolic extent per dimension of a subset. *)
-
-val state_params :
-  Sdfg_ir.Defs.state -> (string * Symbolic.Subset.range) list
-(** All map/consume parameters of a state, with their ranges. *)
 
 val bounded_extents :
   Sdfg_ir.Defs.state -> Symbolic.Subset.t -> Symbolic.Expr.t list

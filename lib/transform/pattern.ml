@@ -36,26 +36,6 @@ let any_node _ _ = true
 let is_access st nid =
   match State.node st nid with Access _ -> true | _ -> false
 
-let is_transient_access g st nid =
-  match State.node st nid with
-  | Access d -> ddesc_transient (Sdfg.desc g d)
-  | _ -> false
-
-let is_tasklet st nid =
-  match State.node st nid with Tasklet _ -> true | _ -> false
-
-let is_map_entry st nid =
-  match State.node st nid with Map_entry _ -> true | _ -> false
-
-let is_map_exit st nid =
-  match State.node st nid with Map_exit -> true | _ -> false
-
-let is_reduce st nid =
-  match State.node st nid with Reduce _ -> true | _ -> false
-
-let is_nested st nid =
-  match State.node st nid with Nested_sdfg _ -> true | _ -> false
-
 let any_edge _ _ = true
 
 (* --- constructors -------------------------------------------------------- *)

@@ -20,15 +20,7 @@ type assignment = (string * int) list
 
 (** {1 Node and edge predicates} *)
 
-val any_node : Sdfg_ir.State.t -> int -> bool
 val is_access : Sdfg_ir.State.t -> int -> bool
-val is_transient_access : Sdfg_ir.Sdfg.t -> Sdfg_ir.State.t -> int -> bool
-val is_tasklet : Sdfg_ir.State.t -> int -> bool
-val is_map_entry : Sdfg_ir.State.t -> int -> bool
-val is_map_exit : Sdfg_ir.State.t -> int -> bool
-val is_reduce : Sdfg_ir.State.t -> int -> bool
-val is_nested : Sdfg_ir.State.t -> int -> bool
-val any_edge : Sdfg_ir.State.t -> Sdfg_ir.Defs.edge -> bool
 
 (** {1 Construction} *)
 
@@ -44,9 +36,6 @@ val path_graph : pnode list -> t
 val make : pnode list -> pedge list -> t
 
 (** {1 Matching} *)
-
-val match_state : t -> Sdfg_ir.State.t -> assignment list
-(** All injective matches, in a deterministic order. *)
 
 val match_sdfg : t -> Sdfg_ir.Sdfg.t -> (int * assignment) list
 (** Matches across every state, tagged with the state id. *)

@@ -124,13 +124,3 @@ let load_chain ?measure build path =
       (fun () -> really_input_string ic (in_channel_length ic))
   in
   replay_chain ?measure build (Xform.chain_of_string text)
-
-(* The historical-performance view of DIODE's comparison pane. *)
-let pp_history ppf s =
-  List.iteri
-    (fun i e ->
-      Fmt.pf ppf "%2d. %-20s #%d %-24s %a@." (i + 1) e.e_step.Xform.cs_xform
-        e.e_step.Xform.cs_index e.e_note
-        Fmt.(option ~none:(any "-") (fmt "%.4g"))
-        e.e_metric)
-    (history s)

@@ -71,6 +71,3 @@ val replay_chain :
 
 val load_chain :
   ?measure:(Sdfg_ir.Sdfg.t -> float) -> (unit -> Sdfg_ir.Sdfg.t) -> string -> t
-
-val pp_history : Format.formatter -> t -> unit
-(** The historical-performance view of DIODE's comparison pane. *)

@@ -60,42 +60,6 @@ let test_tensor_fill () =
   Tensor.fill ti (T.I 7);
   Alcotest.(check (list (float 0.))) "int fill" [ 7.; 7.; 7. ] (floats ti)
 
-let test_tensor_scale () =
-  let t =
-    Tensor.init T.F64 [| 5 |] (function [ i ] -> T.F (float_of_int i) | _ -> T.F 0.)
-  in
-  Tensor.scale t ~alpha:(T.F 2.);
-  Alcotest.(check (list (float 0.)))
-    "dense scale" [ 0.; 2.; 4.; 6.; 8. ] (floats t);
-  let v = Tensor.view t ~starts:[| 1 |] ~counts:[| 2 |] ~steps:[| 2 |] in
-  Tensor.scale v ~alpha:(T.F 10.);
-  Alcotest.(check (list (float 0.)))
-    "strided scale" [ 0.; 20.; 4.; 60.; 8. ] (floats t)
-
-let test_tensor_axpy () =
-  let x =
-    Tensor.init T.F64 [| 4 |]
-      (function [ i ] -> T.F (float_of_int (i + 1)) | _ -> T.F 0.)
-  in
-  let y = Tensor.init T.F64 [| 4 |] (fun _ -> T.F 1.) in
-  Tensor.axpy ~alpha:(T.F 2.) ~x ~y;
-  Alcotest.(check (list (float 0.)))
-    "dense axpy" [ 3.; 5.; 7.; 9. ] (floats y);
-  (* strided views over a shared base *)
-  let base = Tensor.create T.F64 [| 6 |] in
-  Tensor.fill base (T.F 1.);
-  let even =
-    Tensor.view base ~starts:[| 0 |] ~counts:[| 3 |] ~steps:[| 2 |]
-  in
-  let odd = Tensor.view base ~starts:[| 1 |] ~counts:[| 3 |] ~steps:[| 2 |] in
-  Tensor.axpy ~alpha:(T.F 5.) ~x:even ~y:odd;
-  Alcotest.(check (list (float 0.)))
-    "strided axpy" [ 1.; 6.; 1.; 6.; 1.; 6. ]
-    (floats base);
-  match Tensor.axpy ~alpha:(T.F 1.) ~x:(Tensor.create T.F64 [| 3 |]) ~y with
-  | exception Tensor.Bounds _ -> ()
-  | () -> Alcotest.fail "axpy over mismatched shapes must raise Bounds"
-
 (* --- recognition and coverage -------------------------------------------- *)
 
 let coverage ?(kernels = true) build symbols =
@@ -277,8 +241,6 @@ let test_zero_trip_kernel () =
 
 let suite =
   [ ("Tensor.fill: dense and strided", `Quick, test_tensor_fill);
-    ("Tensor.scale: dense and strided", `Quick, test_tensor_scale);
-    ("Tensor.axpy: dense, strided, mismatch", `Quick, test_tensor_axpy);
     ("engines workloads lower to expected kinds", `Quick,
       test_recognized_kinds);
     ("~kernels:false keeps the closure path", `Quick, test_kernels_disabled);

@@ -277,6 +277,52 @@ let test_counter_parity () =
         (Test_crossval.counter_list rb.R.r_counters)
         (Test_crossval.counter_list rs.R.r_counters))
 
+(* Every streaming entry point rejects an input that is not a stream
+   container — an array, or a name the graph lacks — with a runtime
+   error, and run_streaming does so before it polls the source: a
+   serving session's source blocks on its client. *)
+let test_bad_input_rejected () =
+  let raises tag f =
+    match f () with
+    | exception Exec.Runtime_error _ -> ()
+    | _ -> Alcotest.failf "%s: expected Runtime_error" tag
+  in
+  each_workload (fun (name, mk, _, output, syms) ->
+      let g = mk () in
+      let array =
+        match
+          List.find_map
+            (fun (n, d) -> match d with Defs.Array _ -> Some n | _ -> None)
+            (Sdfg.descs g)
+        with
+        | Some n -> n
+        | None -> Alcotest.failf "%s: no array container" name
+      in
+      List.iter
+        (fun (ename, engine) ->
+          let cfg =
+            Exec.Config.(default |> with_engine engine |> with_domains 2)
+          in
+          let inst = I.create ~config:cfg ~symbols:syms g in
+          let tag = Fmt.str "%s/%s" name ename in
+          List.iter
+            (fun bad ->
+              let polled = ref 0 in
+              let source () =
+                incr polled;
+                None
+              in
+              raises (Fmt.str "%s: run_streaming ~input:%S" tag bad)
+                (fun () -> I.run_streaming ~input:bad ?output ~source inst);
+              Alcotest.(check int)
+                (Fmt.str "%s: source of %S never polled" tag bad) 0 !polled)
+            [ array; "no_such_container" ];
+          raises (tag ^ ": run ~stream_args on an array") (fun () ->
+              I.run ~stream_args:[ (array, feed 3) ] inst);
+          raises (tag ^ ": stream_contents of an unknown name") (fun () ->
+              I.stream_contents inst "no_such_container"))
+        [ ("reference", Plan.reference); ("compiled", Plan.compiled) ])
+
 let suite =
   [ Alcotest.test_case "channel fifo" `Quick test_channel_fifo;
     Alcotest.test_case "channel zero trip" `Quick test_channel_zero_trip;
@@ -300,4 +346,6 @@ let suite =
     Alcotest.test_case "metrics and backpressure" `Quick
       test_metrics_and_backpressure;
     Alcotest.test_case "degrade path" `Quick test_degrade_path;
-    Alcotest.test_case "counter parity" `Quick test_counter_parity ]
+    Alcotest.test_case "counter parity" `Quick test_counter_parity;
+    Alcotest.test_case "bad input rejected before the source" `Quick
+      test_bad_input_rejected ]
