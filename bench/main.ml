@@ -3,8 +3,6 @@
 
      dune exec bench/main.exe            -- run everything
      dune exec bench/main.exe fig13a     -- one experiment
-     dune exec bench/main.exe micro      -- bechamel microbenchmarks of the
-                                            compiler infrastructure itself
 
    Absolute numbers come from the machine model (the hardware substitute
    documented in DESIGN.md); the paper's numbers are printed alongside so
@@ -670,11 +668,10 @@ let ablations () =
 (* --- interpreter engines: reference vs compiled ----------------------------------- *)
 
 (* Wall-clock seconds of [f ()] with adaptive repetition, the timing
-   helper of the engine and calibration experiments.  The reference
-   engine takes seconds per invocation on the larger inputs, which
-   bechamel's quota-driven sampler handles poorly, so these are measured
-   directly: one run if it is long enough, otherwise the best of enough
-   repetitions to accumulate ~0.5 s. *)
+   helper of the engine and calibration experiments: one run if it is
+   long enough (the reference engine takes seconds per invocation on the
+   larger inputs), otherwise the best of enough repetitions to accumulate
+   ~0.5 s. *)
 let wall f =
   let once () =
     let t0 = Unix.gettimeofday () in
@@ -1355,73 +1352,6 @@ let autoopt () =
          ("geomean_auto_speedup", Float (gm (fun (_, b, _, a, _) -> b /. a)))
        ])
 
-(* --- microbenchmarks of the infrastructure itself --------------------------------- *)
-
-let micro () =
-  let open Bechamel in
-  let mm_small () =
-    let g = Workloads.Kernels.matmul () in
-    let t d =
-      Interp.Tensor.init Tasklang.Types.F64 d (fun _ -> Tasklang.Types.F 1.)
-    in
-    ignore
-      (Interp.Exec.run g
-         ~symbols:[ ("M", 8); ("N", 8); ("K", 8) ]
-         ~args:
-           [ ("A", t [| 8; 8 |]); ("B", t [| 8; 8 |]); ("C", t [| 8; 8 |]) ])
-  in
-  let build_and_propagate () =
-    ignore ((Workloads.Polybench.find "gemm").Workloads.Polybench.k_build ())
-  in
-  let transform_chain () =
-    let g = Workloads.Kernels.matmul_mapreduce () in
-    List.iteri
-      (fun i _ -> if i <= 3 then try apply_mm_step g i with _ -> ())
-      mm_chain_steps
-  in
-  let codegen_cpu () =
-    ignore
-      (Codegen.generate_string Codegen.Target_cpu
-         (Workloads.Kernels.matmul ()))
-  in
-  let cost_eval () =
-    ignore
-      (Cost.estimate ~spec ~target:Cost.Tcpu
-         ~symbols:[ ("M", 1024); ("N", 1024); ("K", 1024) ]
-         (Workloads.Kernels.matmul ()))
-  in
-  let tests =
-    [ Test.make ~name:"interpreter: 8x8x8 matmul" (Staged.stage mm_small);
-      Test.make ~name:"frontend: build+propagate gemm SDFG"
-        (Staged.stage build_and_propagate);
-      Test.make ~name:"transformations: 4-step GEMM chain"
-        (Staged.stage transform_chain);
-      Test.make ~name:"codegen: CPU C++ for matmul" (Staged.stage codegen_cpu);
-      Test.make ~name:"machine model: GEMM estimate" (Staged.stage cost_eval)
-    ]
-  in
-  header "Microbenchmarks of the compiler infrastructure (bechamel)";
-  let analyze =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let raw =
-        Benchmark.all
-          (Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) ())
-          Toolkit.Instance.[ monotonic_clock ]
-          test
-      in
-      let results = Analyze.all analyze Toolkit.Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> row "%-44s %14.1f ns/run@." name est
-          | _ -> row "%-44s (no estimate)@." name)
-        results)
-    tests;
-  engines ()
-
 (* --- serve: daemon throughput, cold vs warm plan cache --------------------------- *)
 
 (* Start an in-process daemon, replay the same fuzz-generated request
@@ -1698,8 +1628,7 @@ let experiments =
   [ ("fig13a", fig13a); ("fig13b", fig13b); ("fig13c", fig13c);
     ("fig14a", fig14a); ("fig14b", fig14b); ("fig14c", fig14c);
     ("fig15", fig15); ("fig17", fig17); ("table2", table2);
-    ("table3", table3); ("ablations", ablations); ("micro", micro);
-    ("engines", engines); ("engines_v2", engines_v2); ("autoopt", autoopt);
+    ("table3", table3); ("ablations", ablations); ("engines", engines); ("engines_v2", engines_v2); ("autoopt", autoopt);
     ("calibrate", calibrate); ("parallel", parallel); ("serve", serve);
     ("streaming", streaming); ("workloads", workloads_bench) ]
 
@@ -1711,11 +1640,10 @@ let () =
       (fun (name, f) ->
         if not
              (List.mem name
-                [ "micro"; "engines"; "engines_v2"; "autoopt"; "serve";
-                  "streaming"; "workloads" ])
+                [ "engines"; "engines_v2"; "autoopt"; "serve"; "streaming";
+                  "workloads" ])
         then f ())
-      experiments;
-    Fmt.pr "@.(run with argument 'micro' for bechamel microbenchmarks)@."
+      experiments
   | names ->
     List.iter
       (fun name ->

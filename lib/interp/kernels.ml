@@ -418,9 +418,9 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
   let code =
     match tk.t_code with Code c -> c | External _ -> reject "external"
   in
-  (* a timed tasklet must keep its per-execution span *)
-  if Obs.Collect.should_time env.Reference.collector ~flag:tk.t_instrument then
-    reject "instrumented";
+  (* a timed body is one tasklet span per launch, counting its executions *)
+  let collector = env.Reference.collector in
+  let timed = Obs.Collect.should_time collector ~flag:tk.t_instrument in
   (* connected memlets, in the closure engine's binding order *)
   let ins =
     List.filter_map
@@ -1051,7 +1051,15 @@ let recognize_exn ~env ~st ~entry ~(info : map_info) ~comp : t =
               done
             end
           in
-          go 0
+          if not timed then go 0
+          else begin
+            let sp =
+              Obs.Collect.enter collector Obs.Collect.Tasklet tk.t_name
+            in
+            go 0;
+            Obs.Collect.exit collector sp;
+            sp.sp_count <- sp.sp_count + !total - 1
+          end
         end
       end
     end

@@ -18,7 +18,9 @@
       extents (affine subscripts attain their extrema at corners), which
       justifies unchecked buffer accesses in the loops;
     - bumps the instrumentation counters in bulk ([trips] tasklet
-      executions move [n_inputs + 1] elements each);
+      executions move [n_inputs + 1] elements each) and, when the body
+      tasklet is timed, records it as one span per launch counting
+      [trips] executions, so the timing tree matches the closure nest's;
     - dispatches a shape-specialized loop (fill / copy / scale / axpy /
       elementwise binop / WCR-sum contraction / scaled sum) or a generic
       compiled-expression loop.
@@ -61,12 +63,12 @@ val recognize :
     compiles a {e parameter-free} symbolic expression against the
     enclosing scope's frame ([None] when it mentions data-dependent or
     unbound names).  [Error reason] carries the closure-path reason code:
-    ["no-dims"], ["body-shape"], ["external"], ["instrumented"],
-    ["empty-body"], ["multi-stmt"], ["control-flow"], ["indexed-write"],
-    ["indexed-read"], ["reads-output"], ["dup-conn"], ["out-mismatch"],
-    ["connector-rank"], ["stream"], ["container"], ["rank"],
-    ["non-affine"], ["non-affine-indirect"], ["symbols"], ["shadowed"],
-    ["wcr"], ["body-expr"].
+    ["no-dims"], ["body-shape"], ["external"], ["empty-body"],
+    ["multi-stmt"], ["control-flow"], ["indexed-write"], ["indexed-read"],
+    ["reads-output"], ["dup-conn"], ["out-mismatch"], ["connector-rank"],
+    ["stream"], ["container"], ["rank"], ["non-affine"],
+    ["non-affine-indirect"], ["symbols"], ["shadowed"], ["wcr"],
+    ["body-expr"].
 
     ["non-affine-indirect"] refines the classifier's rejections: when a
     body the classifier would reject for its shape also subscripts data

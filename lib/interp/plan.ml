@@ -697,6 +697,15 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
   in
   Obs.Collect.merge_coverage env.Reference.collector solo.rp_collector;
   let kind = solo.rp_kind in
+  (* accumulating maps deal one static block per worker, so the merge
+     below combines partial sums in canonical ascending-iteration order
+     (deterministic for a given domain count); so do bulk-kernel bodies,
+     as flat loops with no shared cursor to contend on.  Disjoint closure
+     bodies deal dynamic chunks for load balance. *)
+  let schedule =
+    if n_acc > 0 || kind <> None then Machine.Cost.Parallel.Static
+    else Machine.Cost.Parallel.Dynamic
+  in
   let md =
     Reference.register_decision env.Reference.par ~state:ctx.st.st_label
       ~node:entry
@@ -759,7 +768,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
           let dec =
             Machine.Cost.Parallel.predict
               ~max_domains:(if trips < cap then trips else cap)
-              ~kind ~trips ~inner ~merge_elems ()
+              ~schedule ~kind ~trips ~inner ~merge_elems ()
           in
           md.Reference.md_reason <- dec.Machine.Cost.Parallel.d_reason;
           dec.Machine.Cost.Parallel.d_domains
@@ -791,24 +800,14 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
           if t1 > t0 then
             r.rp_run (lo + (t0 * step)) (lo + ((t1 - 1) * step)) step
         in
-        if n_acc > 0 || kind <> None then begin
-          (* static blocks, exactly one contiguous block per worker.  For
-             accumulating maps the private-accumulator merge below then
-             combines partial sums in canonical (ascending-iteration)
-             order, so results are deterministic for a given domain
-             count; bulk-kernel bodies run as [workers] flat strided
-             loops with no shared chunk cursor to contend on *)
-          par.Reference.par_chunks <- par.Reference.par_chunks + workers;
+        let nchunks = Machine.Cost.Parallel.chunks schedule ~trips ~workers in
+        (match schedule with
+        | Machine.Cost.Parallel.Static ->
+          par.Reference.par_chunks <- par.Reference.par_chunks + nchunks;
           Pool.run ~domains:workers (fun w ->
-              run_block replicas.(w) w workers)
-        end
-        else begin
-          (* disjoint closure bodies: chunk assignment cannot affect the
-             result, so deal chunks dynamically for load balance; each
-             worker publishes its tally once, into its own padded slot *)
-          let nchunks =
-            if trips < workers * 4 then trips else workers * 4
-          in
+              run_block replicas.(w) w nchunks)
+        | Machine.Cost.Parallel.Dynamic ->
+          (* each worker publishes its tally once, to its padded slot *)
           let next = Atomic.make 0 in
           Pool.run ~domains:workers (fun w ->
               let r = replicas.(w) in
@@ -827,8 +826,7 @@ and build_parallel ctx entry (info : map_info) ~accumulate ~privatize
             par.Reference.par_chunks <-
               par.Reference.par_chunks + chunk_tally.(w * pad);
             chunk_tally.(w * pad) <- 0
-          done
-        end;
+          done);
         (* merge per-domain counters; totals are bit-equal to sequential *)
         for w = 0 to workers - 1 do
           drain_stats replicas.(w).rp_stats

@@ -975,7 +975,8 @@ let estimate ?(opts = default_options) ~(spec : Spec.t) ~(target : target)
    unprofitable maps sequential by prediction rather than by env-var
    fiat.  The prediction is a pure function of (calibration, inputs):
    deterministic for a fixed calibration, monotone in the iteration
-   count (more work never predicts fewer domains), and never consulted
+   count (more work never predicts fewer domains) except where a
+   dynamically dealt map pays one chunk per trip, and never consulted
    when the verdict is Serial (the engine forces those sequential
    before pricing). *)
 module Parallel = struct
@@ -1020,11 +1021,19 @@ module Parallel = struct
 
   type decision = { d_domains : int; d_reason : string }
 
+  type schedule = Static | Dynamic
+
+  let chunks schedule ~trips ~workers =
+    match schedule with
+    | Static -> workers
+    | Dynamic -> if trips < workers * 4 then trips else workers * 4
+
   (* Modeled wall seconds of one invocation at [domains]: linear-speedup
      work scaled by the calibrated efficiency, plus the fork barrier, the
-     dynamic chunk dealing (4 chunks per worker, the dispatcher's ratio)
-     and the canonical-order merge of every private accumulator copy. *)
-  let predicted_time_s ?cal ~kind ~trips ~inner ~merge_elems domains =
+     chunks the schedule deals and the canonical-order merge of every
+     private accumulator copy. *)
+  let predicted_time_s ?cal ~schedule ~kind ~trips ~inner ~merge_elems
+      domains =
     let cal = match cal with Some c -> c | None -> !current in
     let work =
       float_of_int (max 0 trips)
@@ -1042,7 +1051,9 @@ module Parallel = struct
       let eff = Float.max 0.05 (Float.min 1.0 cal.cal_efficiency) in
       work /. (useful *. eff)
       +. cal.cal_fork_s
-      +. (cal.cal_chunk_s *. 4. *. d)
+      +. (cal.cal_chunk_s
+         *. float_of_int
+              (chunks schedule ~trips:(max 0 trips) ~workers:domains))
       +. (float_of_int (max 0 merge_elems) *. cal.cal_merge_s_per_elem *. d)
 
   (* The margin a parallel candidate must clear: predicted parallel time
@@ -1050,14 +1061,14 @@ module Parallel = struct
      noise and not worth occupying the pool. *)
   let profit_margin = 0.95
 
-  let predict ?cal ~max_domains ~kind ~trips ~inner ~merge_elems () :
-      decision =
+  let predict ?cal ~max_domains ~schedule ~kind ~trips ~inner ~merge_elems
+      () : decision =
     let cal = match cal with Some c -> c | None -> !current in
     if max_domains <= 1 then { d_domains = 1; d_reason = "single-domain" }
     else if trips <= 0 then { d_domains = 1; d_reason = "zero-trip" }
     else begin
       let seq =
-        predicted_time_s ~cal ~kind ~trips ~inner ~merge_elems 1
+        predicted_time_s ~cal ~schedule ~kind ~trips ~inner ~merge_elems 1
       in
       let eff = Float.max 0.05 (Float.min 1.0 cal.cal_efficiency) in
       let best = ref 1 and best_t = ref seq in
@@ -1065,7 +1076,10 @@ module Parallel = struct
         (* a degree whose efficiency-scaled speedup cannot exceed 1 is
            never a candidate, whatever the overheads *)
         if float_of_int d *. eff > 1. then begin
-          let t = predicted_time_s ~cal ~kind ~trips ~inner ~merge_elems d in
+          let t =
+            predicted_time_s ~cal ~schedule ~kind ~trips ~inner ~merge_elems
+              d
+          in
           if t < !best_t then begin
             best := d;
             best_t := t

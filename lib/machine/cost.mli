@@ -138,7 +138,10 @@ val calibrate_parallel_efficiency :
     sequential {e by prediction} rather than relying on a global
     [SDFG_DOMAINS] choice.  The prediction is a pure function of
     (calibration, inputs): deterministic for a fixed calibration and
-    monotone in [trips] (a larger map never predicts fewer domains).
+    monotone in [trips] (a larger map never predicts fewer domains),
+    except that a [Dynamic] map below four trips per candidate domain
+    pays one chunk per trip, which can favour fewer domains as [trips]
+    grows there.
     Maps with a Serial verdict are forced sequential by the engine
     before pricing and never reach {!Parallel.predict}. *)
 module Parallel : sig
@@ -167,6 +170,30 @@ module Parallel : sig
 
   val set_calibration : calibration -> unit
 
+  (** How a forked invocation deals its outer range to the workers.
+      [Static]: exactly one contiguous block per worker (bulk-kernel and
+      accumulating bodies).  [Dynamic]: [min trips (4 * workers)] chunks
+      dealt from a shared cursor (disjoint closure bodies). *)
+  type schedule = Static | Dynamic
+
+  val chunks : schedule -> trips:int -> workers:int -> int
+  (** Chunks one invocation of [trips] outer iterations deals to
+      [workers] domains under the schedule. *)
+
+  val predicted_time_s :
+    ?cal:calibration ->
+    schedule:schedule ->
+    kind:string option ->
+    trips:int ->
+    inner:int ->
+    merge_elems:int ->
+    int ->
+    float
+  (** Modeled wall seconds of one invocation at the given domain count:
+      efficiency-scaled work, plus (above one domain) the fork barrier,
+      [cal_chunk_s] per chunk the schedule deals and the accumulator
+      merge. *)
+
   type decision = {
     d_domains : int;    (** 1 = run sequential *)
     d_reason : string;
@@ -177,6 +204,7 @@ module Parallel : sig
   val predict :
     ?cal:calibration ->
     max_domains:int ->
+    schedule:schedule ->
     kind:string option ->
     trips:int ->
     inner:int ->

@@ -142,8 +142,9 @@ let check_stats_equal name (r : R.t) (c : R.t) =
    args and compare every output tensor bit for bit, plus all counters —
    first with instrumentation off, then again at level [All], where the
    timing trees must also have identical shapes (same constructs, same
-   nesting, same invocation counts) and the counters must not drift from
-   the uninstrumented runs. *)
+   nesting, same invocation counts), the counters must not drift from
+   the uninstrumented runs and the compiled engine must lower the same
+   maps. *)
 let compare_engines ~name ~build ~args ~symbols () =
   (* domains pinned to 1: reference-vs-compiled bit-identity is the
      sequential contract; test_parallel owns the 1/2/4-domain one *)
@@ -179,7 +180,18 @@ let compare_engines ~name ~build ~args ~symbols () =
     (name ^ ": timer tree shapes identical across engines")
     (R.shape ir) (R.shape jr);
   (* instrumentation must observe, not perturb *)
-  check_stats_equal (name ^ " [instrumented vs plain]") rs ir
+  check_stats_equal (name ^ " [instrumented vs plain]") rs ir;
+  let coverage (r : R.t) =
+    Option.map
+      (fun (c : R.coverage) ->
+        ( (c.R.cov_states, c.R.cov_compiled, c.R.cov_fallback),
+          (c.R.cov_kernels, c.R.cov_kernel_fallbacks) ))
+      r.R.r_coverage
+  in
+  let tally = Alcotest.(list (pair string int)) in
+  Alcotest.(check (option (pair (triple int int int) (pair tally tally))))
+    (name ^ ": compiled coverage identical at every instrument level")
+    (coverage cs) (coverage jr)
 
 let test_engines_polybench name () =
   let k = Workloads.Polybench.find name in

@@ -62,15 +62,27 @@ let test_tensor_fill () =
 
 (* --- recognition and coverage -------------------------------------------- *)
 
+(* Kernel tallies of one compiled run, which must not depend on the
+   instrumentation level: timing observes the plan, it never picks it. *)
 let coverage ?(kernels = true) build symbols =
-  let g = build () in
-  let args = Profile.make_args ~symbols g in
-  let r = Exec.run g ~config:(compiled_cfg ~kernels ~domains:1 ()) ~symbols ~args in
-  match r.R.r_coverage with
-  | None -> Alcotest.fail "compiled run must report coverage"
-  | Some c ->
-    let sorted l = List.sort compare l in
-    (sorted c.R.cov_kernels, sorted c.R.cov_kernel_fallbacks)
+  let tallies level =
+    let g = build () in
+    let args = Profile.make_args ~symbols g in
+    let config =
+      compiled_cfg ~kernels ~domains:1 () |> Exec.Config.with_instrument level
+    in
+    match (Exec.run g ~config ~symbols ~args).R.r_coverage with
+    | None -> Alcotest.fail "compiled run must report coverage"
+    | Some c ->
+      let sorted l = List.sort compare l in
+      (sorted c.R.cov_kernels, sorted c.R.cov_kernel_fallbacks)
+  in
+  let off = tallies Obs.Collect.Off in
+  let tally = Alcotest.(list (pair string int)) in
+  Alcotest.(check (pair tally tally))
+    "same kernel coverage at every instrument level" off
+    (tallies Obs.Collect.All);
+  off
 
 let test_recognized_kinds () =
   List.iter
@@ -97,7 +109,17 @@ let test_recognized_kinds () =
         [], [ ("non-affine-indirect", 1) ] );
       ("copy", Workloads.Kernels.copy, [ ("N", 16) ], [ ("copy", 1) ], []);
       ("eadd", Workloads.Kernels.eadd, [ ("N", 16) ], [ ("ebinop", 1) ], []);
-      ("axpy", Workloads.Kernels.axpy, [ ("N", 16) ], [ ("axpy", 1) ], []) ]
+      ("axpy", Workloads.Kernels.axpy, [ ("N", 16) ], [ ("axpy", 1) ], []);
+      ( "attention", Workloads.Attention.base,
+        Workloads.Attention.attention_mini,
+        [ ("contract", 2); ("copy", 2); ("ebinop", 2); ("expr", 3);
+          ("fill", 3) ], [] );
+      ( "conv-direct", Workloads.Attention.conv_direct,
+        Workloads.Attention.conv_mini, [ ("contract", 1); ("fill", 1) ], [] );
+      ( "cfd-batched", Workloads.Cfd.batched, Workloads.Cfd.mini,
+        (* the gather and scatter index the mesh through a connector *)
+        [ ("contract", 2); ("fill", 1) ],
+        [ ("multi-stmt", 1); ("non-affine-indirect", 2) ] ) ]
 
 let test_kernels_disabled () =
   (* ~kernels:false must keep every map on the closure path and record
@@ -209,23 +231,46 @@ let oob_graph () =
        ~code:(`Src "x = 1.0") ());
   Build.finalize g
 
+(* At [All] the timer tree must also match the reference engine's: the
+   kernel's body span opens only after the pre-check passes, so the
+   closure nest's tasklet spans never nest under it.  The run raises, so
+   it goes through a caller-built environment whose collector outlives
+   the error. *)
 let test_oob_same_error () =
-  let run kernels =
+  let run ~level exec_state kernels =
     let x = Tensor.init T.F64 [| 8 |] (fun _ -> T.F (-1.)) in
-    match
-      Exec.run (oob_graph ())
-        ~config:(compiled_cfg ~kernels ~domains:1 ())
-        ~symbols:[ ("N", 9) ]
-        ~args:[ ("X", x) ]
-    with
-    | exception e -> (Printexc.to_string e, floats x)
-    | _ -> Alcotest.fail "out-of-bounds write must raise"
+    let env =
+      { Reference.g = oob_graph (); containers = Hashtbl.create 4;
+        symbols = Hashtbl.create 4; stats = Reference.fresh_stats ();
+        collector = Obs.Collect.create level; max_states = 100; exec_state;
+        plans = Hashtbl.create 4; policy = Reference.Fixed 1;
+        par = Reference.fresh_par (); kernels }
+    in
+    Hashtbl.replace env.Reference.symbols "N" 9;
+    Hashtbl.replace env.Reference.containers "X" (Reference.Tens x);
+    match Reference.run_in env with
+    | () -> Alcotest.fail "out-of-bounds write must raise"
+    | exception e ->
+      ( Printexc.to_string e,
+        floats x,
+        R.shape
+          (Reference.report env ~engine:"" ~wall_s:0. ~channels:[]
+             ~workers:[]) )
   in
-  let closure_msg, closure_x = run false in
-  let kernel_msg, kernel_x = run true in
-  Alcotest.(check string) "same error message" closure_msg kernel_msg;
-  Alcotest.(check (list (float 0.)))
-    "same partial effects" closure_x kernel_x
+  List.iter
+    (fun level ->
+      let tag = Obs.Collect.level_name level in
+      let closure_msg, closure_x, _ = run ~level Plan.exec_state false in
+      let kernel_msg, kernel_x, kernel_shape = run ~level Plan.exec_state true in
+      let _, _, reference_shape = run ~level Reference.exec_state false in
+      Alcotest.(check string) (tag ^ ": same error message") closure_msg
+        kernel_msg;
+      Alcotest.(check (list (float 0.)))
+        (tag ^ ": same partial effects") closure_x kernel_x;
+      Alcotest.(check string)
+        (tag ^ ": timer tree shape of the reference engine") reference_shape
+        kernel_shape)
+    [ Obs.Collect.Off; Obs.Collect.All ]
 
 let test_zero_trip_kernel () =
   let x = Tensor.init T.F64 [| 8 |] (fun _ -> T.F 7.) in

@@ -147,8 +147,33 @@ let test_report_consistency () =
     (r.Cost.r_time_s >= Float.max r.Cost.r_compute_s r.Cost.r_memory_s);
   Alcotest.(check bool) "positive flops" true (r.Cost.r_flops > 0.)
 
+(* A forked invocation pays [cal_chunk_s] per chunk its schedule deals:
+   one static block per worker, or [min trips (4 * workers)] chunks from
+   the dynamic cursor. *)
+let test_parallel_chunk_charge () =
+  let module P = Cost.Parallel in
+  let cal =
+    { P.default_calibration with
+      P.cal_host_domains = 4; cal_fork_s = 0.; cal_chunk_s = 1e-6;
+      cal_merge_s_per_elem = 0.; cal_efficiency = 1. }
+  in
+  let charge schedule ~trips =
+    let t d =
+      P.predicted_time_s ~cal ~schedule ~kind:(Some "copy") ~trips ~inner:1
+        ~merge_elems:0 d
+    in
+    t 4 -. (t 1 /. 4.)
+  in
+  let check = Alcotest.(check (float 1e-12)) in
+  check "static: one block per worker" 4e-6 (charge P.Static ~trips:1000);
+  check "dynamic: four chunks per worker" 16e-6 (charge P.Dynamic ~trips:1000);
+  check "dynamic: one chunk per trip below that" 6e-6
+    (charge P.Dynamic ~trips:6)
+
 let suite =
   [ ("parallel < sequential", `Quick, test_parallel_faster_than_sequential);
+    ("parallel pricing charges the chunks each schedule deals", `Quick,
+      test_parallel_chunk_charge);
     ("tiling cuts DRAM traffic", `Quick, test_tiling_reduces_traffic);
     ("GPU offload pays exact PCIe copies", `Quick, test_gpu_offload_pays_copies);
     ("privatization removes atomics", `Quick, test_peeling_removes_atomics);

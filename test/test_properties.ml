@@ -482,16 +482,18 @@ let policy_cal =
 let gen_kind =
   QCheck2.Gen.oneofl [ None; Some "copy"; Some "contract"; Some "unknown" ]
 
+let gen_schedule = QCheck2.Gen.oneofl [ CP.Static; CP.Dynamic ]
+
 let prop_predict_deterministic =
   QCheck2.Test.make ~count:300
     ~name:"domain prediction is deterministic for a fixed calibration"
     QCheck2.Gen.(
-      quad gen_kind (int_range 0 2_000_000) (int_range 1 4096)
-        (int_range 0 100_000))
-    (fun (kind, trips, inner, merge_elems) ->
+      quad (pair gen_schedule gen_kind) (int_range 0 2_000_000)
+        (int_range 1 4096) (int_range 0 100_000))
+    (fun ((schedule, kind), trips, inner, merge_elems) ->
       let p () =
-        CP.predict ~cal:policy_cal ~max_domains:8 ~kind ~trips ~inner
-          ~merge_elems ()
+        CP.predict ~cal:policy_cal ~max_domains:8 ~schedule ~kind ~trips
+          ~inner ~merge_elems ()
       in
       let a = p () and b = p () in
       a.CP.d_domains = b.CP.d_domains && a.CP.d_reason = b.CP.d_reason)
@@ -500,17 +502,20 @@ let prop_predict_monotone_trips =
   QCheck2.Test.make ~count:300
     ~name:"a larger map never predicts fewer domains"
     QCheck2.Gen.(
-      quad gen_kind
+      quad (pair gen_schedule gen_kind)
         (pair (int_range 0 1_000_000) (int_range 0 1_000_000))
         (int_range 1 512) (int_range 0 50_000))
-    (fun (kind, (t1, t2), inner, merge_elems) ->
+    (fun ((schedule, kind), (t1, t2), inner, merge_elems) ->
       let lo = min t1 t2 and hi = max t1 t2 in
       let d trips =
-        (CP.predict ~cal:policy_cal ~max_domains:8 ~kind ~trips ~inner
-           ~merge_elems ())
+        (CP.predict ~cal:policy_cal ~max_domains:8 ~schedule ~kind ~trips
+           ~inner ~merge_elems ())
           .CP.d_domains
       in
-      d lo <= d hi)
+      (* below four chunks per candidate worker, dynamic dealing charges
+         one chunk per trip, so fewer domains can turn cheaper as trips
+         grow (see Cost.Parallel) *)
+      d lo <= d hi || (schedule = CP.Dynamic && lo < 4 * 8))
 
 (* A Serial race verdict must force the map sequential under the
    predictive policy — the decision never reaches the pricing model. *)

@@ -146,43 +146,22 @@ let tally tag expect got =
         (try List.assoc key got with Not_found -> 0))
     expect
 
+(* cfd-batched, attention and conv-direct have exact rows in the
+   kernels suite's "engines workloads lower to expected kinds" table. *)
 let test_coverage () =
-  (* cfd-batched: both contractions lower as bulk [contract]; the
-     gather and scatter maps are the canonical indirection fallback. *)
-  let kmaps, kfalls =
-    Test_kernels.coverage Workloads.Cfd.batched Workloads.Cfd.mini
-  in
-  tally "cfd-batched kernels" [ ("contract", 2) ] kmaps;
-  tally "cfd-batched fallbacks" [ ("non-affine-indirect", 2) ] kfalls;
   (* cfd-naive: the fused per-element body subscripts [uin]/[o] through
      the connectivity connector — indirection, not its surface shape. *)
   let _, kfalls =
     Test_kernels.coverage Workloads.Cfd.naive Workloads.Cfd.mini
   in
   tally "cfd-naive fallbacks" [ ("non-affine-indirect", 1) ] kfalls;
-  (* attention: both matmuls contract in bulk; softmax stages are
-     elementwise/expr kernels or reductions, never indirection. *)
-  let kmaps, kfalls =
-    Test_kernels.coverage Workloads.Attention.base
-      Workloads.Attention.attention_mini
-  in
-  tally "attention kernels" [ ("contract", 2) ] kmaps;
-  tally "attention fallbacks" [ ("non-affine-indirect", 0) ] kfalls;
   (* conv-im2col: the column gather is indirect, the GEMM contracts. *)
   let kmaps, kfalls =
     Test_kernels.coverage Workloads.Attention.conv_im2col
       Workloads.Attention.conv_mini
   in
   tally "conv-im2col kernels" [ ("contract", 1) ] kmaps;
-  tally "conv-im2col fallbacks" [ ("non-affine-indirect", 1) ] kfalls;
-  (* conv-direct: fully affine — everything lowers, nothing falls back. *)
-  let kmaps, kfalls =
-    Test_kernels.coverage Workloads.Attention.conv_direct
-      Workloads.Attention.conv_mini
-  in
-  tally "conv-direct kernels" [ ("contract", 1) ] kmaps;
-  Alcotest.(check (list (pair string int)))
-    "conv-direct has no fallbacks" [] kfalls
+  tally "conv-im2col fallbacks" [ ("non-affine-indirect", 1) ] kfalls
 
 (* --- optimizer leg: model-only search + chain crossval ------------------- *)
 
